@@ -10,7 +10,10 @@ This module is that compilation layer.  :func:`compile_formula` normalizes a
 formula (boolean simplification, ``->``/``<->`` expansion, ``forall`` as a
 double negation, quantifier pushing, distribution over wide disjunctions —
 the same pushdowns :mod:`repro.logic.transform` provides) and fixes a greedy
-join order, producing a small tree of plan nodes:
+join order, producing a small tree of plan nodes.  A filter condition that
+would enumerate the universe on its own (``forall``, a negated ``exists``, a
+disjunction with negated arms) is planned *correlated*: seeded by the rows
+it filters, so its cost follows the data, not ``n^k``.
 
 ========================  ====================================================
 node                      meaning
@@ -69,7 +72,7 @@ from .syntax import (
     TrueF,
     Var,
 )
-from .transform import free_vars, simplify
+from .transform import free_vars, simplify, to_nnf
 
 __all__ = [
     "Plan",
@@ -292,12 +295,13 @@ def compile_formula(
     cached per (formula, frame) and replayed against any structure of any
     universe size with any update parameters.
 
-    ``distribute`` controls And-over-Or distribution, the one genuinely
-    backend-sensitive choice: set-based executors want narrow per-arm join
-    chains (sparse intermediates), while the dense tensor executor evaluates
-    a disjunction as one vectorized union and would pay for every duplicated
-    arm — it compiles with ``distribute=False``.  This is why plan caches
-    key on the backend.
+    ``distribute`` is the one genuinely backend-sensitive choice: it turns
+    on And-over-Or distribution and correlated filters.  Set-based
+    executors want narrow per-arm join chains and filters seeded by their
+    own rows (sparse intermediates), while the dense tensor executor
+    evaluates a disjunction or complement as one vectorized op and pays
+    ``n^k`` cells per tensor regardless — it compiles with
+    ``distribute=False``.  This is why plan caches key on the backend.
     """
     missing = free_vars(formula) - set(frame)
     if missing:
@@ -394,7 +398,7 @@ class _Compiler:
         if isinstance(formula, Or):
             return self._plan_or(formula)
         if isinstance(formula, And):
-            return self._plan_and(formula)
+            return self._plan_and(formula.parts)
         if isinstance(formula, Not):
             return self._plan_not(formula)
         raise TypeError(f"unknown formula node {formula!r}")  # pragma: no cover
@@ -473,12 +477,18 @@ class _Compiler:
 
     # -- conjunction planning ----------------------------------------------
 
-    def _plan_and(self, formula: And) -> Plan:
-        conjuncts = list(formula.parts)
+    def _plan_and(self, conjuncts: tuple[Formula, ...], seed: Plan | None = None) -> Plan:
+        """Plan a conjunction.  With a ``seed`` the conjunction is planned
+        *correlated*: it starts from the seed's rows instead of ``{()}`` and
+        the result is projected back onto the seed's columns, so any other
+        free variable is read existentially (see :meth:`_make_filter`)."""
+        conjuncts = list(conjuncts)
         # Distribute over wide disjunctive conjuncts only (>= 3 columns):
         # narrow ones materialize cheaply and join directly, while
         # distributing every disjunction cascades into exponential arms.
-        if self.distribute:
+        # A seeded conjunction never distributes: its disjunctions are
+        # filters on already-bound rows, and each arm would repeat the join.
+        if self.distribute and seed is None:
             for i, part in enumerate(conjuncts):
                 disjunction = _as_or(part)
                 if disjunction is not None and len(free_vars(part)) >= 3:
@@ -486,7 +496,7 @@ class _Compiler:
                     return self.plan(
                         Or.of(*(And.of(arm, *rest) for arm in disjunction.parts))
                     )
-        cur: Plan = UnitScan((), label="And")
+        cur: Plan = UnitScan((), label="And") if seed is None else seed
         remaining = conjuncts
         while remaining:
             bound = set(cur.columns)
@@ -518,6 +528,9 @@ class _Compiler:
             cur = Extend(
                 cur.columns + (var,), source=cur, fresh=(var,), label=f"widen by {var}"
             )
+        if seed is not None and cur.columns != seed.columns:
+            positions = tuple(cur.columns.index(c) for c in seed.columns)
+            cur = Project(seed.columns, source=cur, positions=positions, label="Exists")
         return cur
 
     def _make_filter(self, source: Plan, conjunct: Formula) -> Plan:
@@ -526,8 +539,29 @@ class _Compiler:
         while isinstance(conjunct, Not):
             negated = not negated
             conjunct = conjunct.body
+        if self.distribute and isinstance(conjunct, Forall):
+            # ∀ȳ ψ == ¬∃ȳ ¬ψ: an antijoin, the inner negation pushed inward
+            negated = not negated
+            conjunct = Exists(conjunct.vars, to_nnf(Not(conjunct.body)))
         condition = self.plan(conjunct)
-        if condition.columns != tuple(sorted(condition.columns)):
+        if self.distribute and condition.columns and _widens(condition):
+            # Correlated filter: standalone, the condition enumerates the
+            # universe (n^k rows), yet only the filter's own rows can match —
+            # so plan it seeded by them.  The dense executor pays n^k per
+            # tensor regardless and keeps the complement (one vector op).
+            conjunct = to_nnf(conjunct)
+            if isinstance(conjunct, Or):
+                # ψ1 ∨ ψ2 == ¬(¬ψ1 ∧ ¬ψ2): antijoin on a conjunction
+                negated = not negated
+                conjunct = to_nnf(Not(conjunct))
+            if isinstance(conjunct, Exists):
+                # the seed's columns are the free variables, which the
+                # quantified names never collide with
+                conjunct = conjunct.body
+            seed = _align(source, tuple(c for c in source.columns if c in condition.columns))
+            parts = conjunct.parts if isinstance(conjunct, And) else (conjunct,)
+            condition = self._plan_and(parts, seed)
+        elif condition.columns != tuple(sorted(condition.columns)):
             condition = _align(condition, tuple(sorted(condition.columns)))
         positions = tuple(source.columns.index(c) for c in condition.columns)
         return Filter(
@@ -546,7 +580,7 @@ class _Compiler:
         self, remaining: list[Formula], bound: set[str]
     ) -> Formula | None:
         # negations and universals only shrink; never generate from them
-        candidates = [c for c in remaining if not isinstance(c, (Not, Forall))]
+        candidates = [c for c in remaining if not _shrinks_only(c)]
         if not candidates:
             return None
         if bound:
@@ -570,6 +604,24 @@ def _as_or(part: Formula) -> Or | None:
             )
         )
     return None
+
+
+def _shrinks_only(formula: Formula) -> bool:
+    """A negation, a universal, or a disjunction with such an arm: its
+    standalone plan enumerates a universe complement, so it may filter
+    bound rows but never generate them."""
+    if isinstance(formula, (Not, Forall)):
+        return True
+    disjunction = _as_or(formula)
+    return disjunction is not None and any(map(_shrinks_only, disjunction.parts))
+
+
+def _widens(plan: Plan) -> bool:
+    """Whether ``plan`` enumerates the universe over some column."""
+    return any(
+        isinstance(node, (Complement, Extend)) and node.columns
+        for node in plan_nodes(plan)
+    )
 
 
 def _static_cost(formula: Formula) -> float:

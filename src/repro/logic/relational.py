@@ -501,19 +501,16 @@ class RelationalEvaluator:
             satisfied = bool(condition.rows) != plan.negated
             return source if satisfied else Relation.empty(plan.columns)
         allowed = condition.rows
-        positions = plan.positions
+        if plan.positions == tuple(range(len(plan.columns))):
+            # the condition covers every column (a correlated filter's
+            # usual shape): plain set difference / intersection
+            out_rows = source.rows - allowed if plan.negated else source.rows & allowed
+            return Relation(plan.columns, out_rows)
+        key = _tuple_getter(plan.positions)
         if plan.negated:
-            out_rows = {
-                row
-                for row in source.rows
-                if tuple(row[p] for p in positions) not in allowed
-            }
+            out_rows = {row for row in source.rows if key(row) not in allowed}
         else:
-            out_rows = {
-                row
-                for row in source.rows
-                if tuple(row[p] for p in positions) in allowed
-            }
+            out_rows = {row for row in source.rows if key(row) in allowed}
         return Relation(plan.columns, out_rows)
 
     def _exec_complement(self, plan: Complement) -> Relation:
