@@ -636,12 +636,14 @@ def e19_history_independence(quick: bool = True) -> Table:
     table = Table(
         "E19",
         "History independence: per-request cost along a long run (REACH_u)",
-        ("segment", "avg update (ms)", "avg tuples written", "avg temp tuples"),
+        ("segment", "avg update (ms)", "avg delta rows written", "avg temp tuples"),
         notes="""Definition 3.1's g_n sees only (current structure, request):
         per-request cost depends on the current density, never on how many
         requests came before.  Segment averages along one long run stay
         flat once the density stabilizes (the first segment is cheaper only
-        because the graph is still filling up).""",
+        because the graph is still filling up).  "delta rows written" counts
+        the rows the definitions' delta plans (the tuples each update adds
+        and removes) emitted, not the size of the redefined relations.""",
     )
     program = make_reach_u_program()
     engine = DynFOEngine(program, n)

@@ -192,8 +192,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from .logic.explain import render_plan
-    from .logic.plan import compile_formula, specialize_plan
+    from .logic.explain import render_plan, render_rule_plans
 
     name = args.program
     if name not in PROGRAM_FACTORIES:
@@ -204,26 +203,18 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
         return 2
     program = PROGRAM_FACTORIES[name]()
-    # the one backend-sensitive compile choice; see logic/plan.py
-    distribute = args.backend != "dense"
+    # the plans the engine runs: each definition's Δ⁺/Δ⁻ pair, compiled
+    # per (backend, n) with the backend's one compile choice (logic/plan.py)
+    compiled = program.compile(args.backend, args.n)
     params = (
         _parse_params([p for p in args.params.split(",") if p])
         if args.params
         else None
     )
 
-    def show(owner: str, definitions) -> None:
-        for definition in definitions:
-            frame = ", ".join(definition.frame)
-            print(f"\n{owner} :: {definition.name}({frame})")
-            plan = compile_formula(
-                definition.formula, definition.frame, distribute=distribute
-            )
-            print(render_plan(plan))
-            if params:
-                bindings = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
-                print(f"\n{owner} :: {definition.name}({frame}) [{bindings}]")
-                print(render_plan(specialize_plan(plan, params, args.n)))
+    def show(blocks: list[str]) -> None:
+        for block in blocks:
+            print(f"\n{block}")
 
     rules = []
     for kind, table in (
@@ -256,15 +247,17 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     for tag, rule in rules:
         if not show_all and tag not in wanted:
             continue
-        show(f"{tag} [temp]", rule.temporaries)
-        show(tag, rule.definitions)
+        show(render_rule_plans(tag, rule, compiled.rule_plans(rule)))
+        if params:
+            bindings = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
+            specialized = compiled.specialized_rule_plans(rule, params)
+            show(render_rule_plans(f"{tag} [{bindings}]", rule, specialized))
     for qname, query in sorted(program.queries.items()):
         if not show_all and qname not in (args.query or []):
             continue
         frame = ", ".join(query.frame) or "boolean"
         print(f"\nquery :: {qname}({frame})")
-        plan = compile_formula(query.formula, query.frame, distribute=distribute)
-        print(render_plan(plan))
+        print(render_plan(compiled.query_plan(query)))
     return 0
 
 
@@ -600,16 +593,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="P",
         help="comma-separated update-parameter bindings (e.g. 'i=3,j=7'); "
-        "renders the parameter-specialized plan next to each generic rule "
-        "plan",
+        "renders the parameter-specialized plans after each rule's generic "
+        "ones",
     )
     explain.add_argument(
         "--n",
         type=int,
         default=8,
         metavar="N",
-        help="universe size for --params specialization (min/max fold to "
-        "0 and N-1)",
+        help="universe size the plans are compiled for (--params "
+        "specialization folds min/max to 0 and N-1)",
     )
     explain.set_defaults(fn=_cmd_explain)
 

@@ -124,11 +124,12 @@ class DynFOEngine:
             if max_rows <= 0:
                 raise ValueError(f"max_rows must be positive, got {max_rows}")
         self._compiled = program.compile(self.backend_name, n) if self._use_plans else None
-        # The differential update path (PR 5): parameter-specialized plans,
-        # indexed atom probes, symmetric-difference staging, and (dense) an
-        # in-place-patched relation-tensor cache.  False restores the PR-4
-        # full-rematerialization path: generic plans, full scans, wholesale
-        # set_relation staging — the `--no-delta` escape hatch.
+        # The differential update path: each definition's Δ⁺/Δ⁻ plans,
+        # parameter-specialized, with indexed atom probes, staged as single-
+        # tuple edits, and (dense) an in-place-patched relation-tensor cache.
+        # False is the full-rewrite control arm: generic plans, full scans,
+        # and wholesale set_relation staging of every redefined relation —
+        # the `--no-delta` escape hatch.
         self.use_delta = use_delta
         # relation name -> (version, ndarray); patched in place after each
         # commit so the dense backend stops rebuilding every tensor per
@@ -150,9 +151,13 @@ class DynFOEngine:
         # structure, or the snapshot an engine was restored from)
         self._audit_base = self.structure.copy()
         self._audit_log: list[Request] = []
-        # work accounting for the last request: how many auxiliary tuples
-        # the simultaneous FO step produced (the "parallel work" measure
-        # used by experiment E19's history-independence check)
+        # work accounting for the last request.  tuples_written counts the
+        # rows the definitions' evaluations emitted (the "parallel work"
+        # measure of experiment E19): on the plan backends the rows of the
+        # Δ⁺/Δ⁻ plans, so it tracks tuples_added + tuples_removed; on the
+        # naive and callable backends, which evaluate whole new relations
+        # and diff them, and under use_delta=False, which rewrites them
+        # whole, the size of the new relations.
         self.last_update_stats: dict[str, int] = {
             "relations_redefined": 0,
             "tuples_written": 0,
@@ -181,10 +186,11 @@ class DynFOEngine:
     def apply(self, request: Request) -> None:
         """Apply one request transactionally.
 
-        Pipeline: validate the request, evaluate all primed relations
-        against the current structure (the rule's temporaries — the paper's
-        scratch relations such as T and New — first, in order, into a
-        scratch expansion the primed definitions then read), stage every
+        Pipeline: validate the request, evaluate the rule against the
+        current structure (the rule's temporaries — the paper's scratch
+        relations such as T and New — first, in order, into a scratch
+        expansion the definitions then read; then each primed relation's
+        change, its Δ⁺ and Δ⁻ plans, on the plan backends), stage every
         write, journal the request, then commit the batch in one
         infallible step.  On any failure before commit the auxiliary
         structure is untouched."""
@@ -281,19 +287,29 @@ class DynFOEngine:
                         temporary_tuples += len(rows)
                         source.set_relation(temp.name, rows)
             evaluator = self._make_evaluator(source, params)
-            new_relations: dict[str, set[tuple[int, ...]]] = {}
+            # name -> (tuples added, tuples removed)
+            changes: dict[str, tuple[set[tuple[int, ...]], set[tuple[int, ...]]]] = {}
+            written = 0
             if compiled is not None:
-                for name, plan in compiled.definitions:
-                    new_relations[name] = self._timed_execute(
-                        "definition", name, lambda: evaluator.execute(plan)
+                # the plan backends evaluate each definition's change
+                # directly: its Δ⁺ and Δ⁻ plans, nothing to diff
+                for name, plus, minus in compiled.definitions:
+                    changes[name] = self._timed_execute(
+                        "definition",
+                        name,
+                        lambda: (evaluator.execute(plus), evaluator.execute(minus)),
                     )
+                    written += len(changes[name][0]) + len(changes[name][1])
             else:
                 for definition in rule.definitions:
-                    new_relations[definition.name] = self._timed_execute(
+                    rows = self._timed_execute(
                         "definition",
                         definition.name,
                         lambda: evaluator.rows(definition.formula, definition.frame),
                     )
+                    current = self.structure.relation_view(definition.name)
+                    changes[definition.name] = (rows - current, current - rows)
+                    written += len(rows)
         except EngineError:
             raise
         except Exception as error:
@@ -305,32 +321,29 @@ class DynFOEngine:
         tuples_added = 0
         tuples_removed = 0
         try:
-            if use_delta:
-                # differential staging: stage only the symmetric difference
-                # between the freshly evaluated relation and the current one,
-                # so the batch (and any journaled effects) carry the delta
-                # and only delta tuples pay re-validation
-                # our own plan evaluators only emit in-arity, in-universe
-                # rows, so their deltas skip per-tuple re-validation; rows
-                # from custom callable backends are checked as always
-                trusted = compiled is not None
-                for name, rows in new_relations.items():
+            for name, (added, removed) in changes.items():
+                if not use_delta:
+                    # the full-rewrite control arm: stage the whole new
+                    # relation, displacing every current tuple
                     current = self.structure.relation_view(name)
-                    added = rows - current
-                    removed = current - rows
-                    if trusted:
-                        batch.stage_edits_trusted("add", name, sorted(added))
-                        batch.stage_edits_trusted("discard", name, sorted(removed))
-                    else:
-                        for tup in sorted(added):
-                            batch.add(name, tup)
-                        for tup in sorted(removed):
-                            batch.discard(name, tup)
-                    tuples_added += len(added)
-                    tuples_removed += len(removed)
-            else:
-                for name, rows in new_relations.items():
+                    rows = (current - removed) | added
                     batch.set_relation(name, rows)
+                    tuples_added += len(rows)
+                    tuples_removed += len(current)
+                    continue
+                # our own plan evaluators only emit in-arity, in-universe
+                # rows, so their changes skip per-tuple re-validation; rows
+                # from the naive and custom callable backends are checked
+                if compiled is not None:
+                    batch.stage_edits_trusted("add", name, sorted(added))
+                    batch.stage_edits_trusted("discard", name, sorted(removed))
+                else:
+                    for tup in sorted(added):
+                        batch.add(name, tup)
+                    for tup in sorted(removed):
+                        batch.discard(name, tup)
+                tuples_added += len(added)
+                tuples_removed += len(removed)
             if mirror is not None and mirror[1] not in defined:
                 # default maintenance of the input relation's auxiliary copy
                 kind, rel, tup = mirror
@@ -356,15 +369,9 @@ class DynFOEngine:
             raise UpdateError(
                 f"staging the update for {request} was rejected: {error}"
             ) from error
-        if not use_delta:
-            # full rewrites touch every tuple of every redefined relation
-            tuples_added = sum(len(rows) for rows in new_relations.values())
-            tuples_removed = sum(
-                len(self.structure.relation_view(name)) for name in new_relations
-            )
         stats = {
-            "relations_redefined": len(new_relations),
-            "tuples_written": sum(len(rows) for rows in new_relations.values()),
+            "relations_redefined": len(changes),
+            "tuples_written": written if use_delta else tuples_added,
             "temporary_tuples": temporary_tuples,
             "tuples_added": tuples_added,
             "tuples_removed": tuples_removed,
@@ -685,12 +692,15 @@ class DynFOEngine:
     def specialized_plans_for(self, request: Request):
         """The plans an accepted ``request`` would execute, without applying
         it: ``(rule, params, compiled)`` where ``compiled`` is the
-        parameter-specialized :class:`~.program.CompiledRule` on the delta
-        path, or ``None`` off it (generic plans apply).  Used by the slowlog
-        and ``repro explain --params`` to render what actually ran."""
+        :class:`~.program.CompiledRule` (temporaries, then each definition's
+        Δ⁺/Δ⁻ plans) — parameter-specialized on the delta path, generic with
+        ``use_delta=False`` — or ``None`` on the naive and callable backends,
+        which evaluate formulas.  Used by the slowlog to render what ran."""
         rule, params, _ = self._dispatch(request)
-        if self._compiled is None or not self.use_delta:
+        if self._compiled is None:
             return rule, params, None
+        if not self.use_delta:
+            return rule, params, self._compiled.rule_plans(rule)
         return rule, params, self._compiled.specialized_rule_plans(rule, params)
 
     def apply_effects(self, request: Request, effects: Mapping) -> None:

@@ -22,10 +22,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..logic.plan import Plan, compile_formula, specialize_plan
+from ..logic.plan import Plan, compile_formula, compile_formulas, specialize_plan
 from ..logic.structure import Structure
 from ..logic.syntax import Formula
-from ..logic.transform import connective_depth, constants_of, free_vars, quantifier_rank
+from ..logic.transform import (
+    connective_depth,
+    constants_of,
+    deltas,
+    free_vars,
+    quantifier_rank,
+)
 from ..logic.vocabulary import Vocabulary
 
 __all__ = [
@@ -113,11 +119,14 @@ def inline_temporaries(rule: UpdateRule) -> UpdateRule:
 
 @dataclass(frozen=True)
 class CompiledRule:
-    """The physical plans of one :class:`UpdateRule`, in evaluation order
-    (temporaries first, then the simultaneous definitions)."""
+    """The physical plans of one :class:`UpdateRule`, in evaluation order:
+    the temporaries, then one ``(name, Δ⁺ plan, Δ⁻ plan)`` per simultaneous
+    definition — the tuples the update adds to and removes from ``name``
+    (see :func:`repro.logic.transform.deltas`), never the whole new
+    relation."""
 
     temporaries: tuple[tuple[str, Plan], ...]
-    definitions: tuple[tuple[str, Plan], ...]
+    definitions: tuple[tuple[str, Plan, Plan], ...]
 
 
 class CompiledProgram:
@@ -169,7 +178,8 @@ class CompiledProgram:
         self.specialize_ns = 0
 
     def rule_plans(self, rule: UpdateRule) -> CompiledRule:
-        """The compiled plans for ``rule``, compiling on first request."""
+        """The compiled plans for ``rule`` — its temporaries and each
+        definition's Δ⁺/Δ⁻ — compiling on first request."""
         with self._lock:
             entry = self._rules.get(id(rule))
             if entry is not None:
@@ -177,14 +187,16 @@ class CompiledProgram:
                 return entry[1]
             self.misses += 1
             started = time.perf_counter_ns()
+            # one compiler for the whole rule: a subformula Δ⁺ and Δ⁻ (or
+            # two definitions) share becomes one plan node, run once
+            items = [(d.formula, d.frame) for d in rule.temporaries]
+            for d in rule.definitions:
+                items += [(delta, d.frame) for delta in deltas(d.name, d.frame, d.formula)]
+            plans = iter(compile_formulas(items, distribute=self._distribute))
             compiled = CompiledRule(
-                temporaries=tuple(
-                    (d.name, compile_formula(d.formula, d.frame, distribute=self._distribute))
-                    for d in rule.temporaries
-                ),
+                temporaries=tuple((d.name, next(plans)) for d in rule.temporaries),
                 definitions=tuple(
-                    (d.name, compile_formula(d.formula, d.frame, distribute=self._distribute))
-                    for d in rule.definitions
+                    (d.name, next(plans), next(plans)) for d in rule.definitions
                 ),
             )
             self.compile_ns += time.perf_counter_ns() - started
@@ -222,8 +234,12 @@ class CompiledProgram:
                 for name, plan in base.temporaries
             ),
             definitions=tuple(
-                (name, specialize_plan(plan, values, self.n, memo))
-                for name, plan in base.definitions
+                (
+                    name,
+                    specialize_plan(plus, values, self.n, memo),
+                    specialize_plan(minus, values, self.n, memo),
+                )
+                for name, plus, minus in base.definitions
             ),
         )
         elapsed = time.perf_counter_ns() - started

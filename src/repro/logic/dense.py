@@ -38,7 +38,6 @@ from .plan import (
     Union,
     UnitScan,
     cached_plan,
-    plan_nodes,
 )
 from .structure import Structure
 from .syntax import (
@@ -112,24 +111,14 @@ class DenseEvaluator:
 
     def execute(self, plan: Plan) -> set[tuple[int, ...]]:
         """Run a compiled plan; returns the result rows over its columns."""
-        self._check_budget(plan)
         self.parallel_steps = 0
         array = self._exec(plan)
+        if not array.any():  # e.g. a Δ plan on an update that changes nothing
+            return set()
         if not plan.columns:
-            return {()} if array.reshape(-1)[0] else set()
+            return {()}
         full = np.broadcast_to(array, (self.structure.n,) * len(plan.columns))
         return {tuple(int(v) for v in hit) for hit in np.argwhere(full)}
-
-    # -- setup -----------------------------------------------------------------
-
-    def _check_budget(self, plan: Plan) -> None:
-        widest = max(len(node.columns) for node in plan_nodes(plan))
-        n = self.structure.n
-        if widest > 0 and n**widest > self.max_cells:
-            raise EvaluationError(
-                f"dense evaluation needs n^{widest} cells; "
-                f"n={n} exceeds the {self.max_cells}-cell budget"
-            )
 
     # -- term and relation tensors ----------------------------------------------
 
@@ -175,6 +164,13 @@ class DenseEvaluator:
         cached = self._results.get(id(plan))
         if cached is not None:
             return cached[1]
+        # the budget, checked per node before it allocates its tensor
+        width, n = len(plan.columns), self.structure.n
+        if width and n**width > self.max_cells:
+            raise EvaluationError(
+                f"dense evaluation needs n^{width} cells; "
+                f"n={n} exceeds the {self.max_cells}-cell budget"
+            )
         result = self._exec_node(plan)
         self._results[id(plan)] = (plan, result)
         return result

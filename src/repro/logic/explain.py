@@ -5,7 +5,9 @@ out slow the right tool is a query plan.  Two views are offered:
 
 * :func:`render_plan` — the *static* view: the physical plan a formula
   compiles to (:mod:`repro.logic.plan`), data free, exactly what the plan
-  cache replays on every request.
+  cache replays on every request; :func:`render_rule_plans` renders an
+  update rule's plans the way the engine runs them (temporaries, then each
+  definition's Δ⁺ and Δ⁻).
 * :func:`explain` / :func:`plan_events` — the *dynamic* view: evaluate a
   formula with tracing enabled and render the executor's steps —
   per-subformula materializations with their column frames and live row
@@ -41,7 +43,7 @@ from .relational import RelationalEvaluator
 from .structure import Structure
 from .syntax import Formula
 
-__all__ = ["explain", "plan_events", "render_plan"]
+__all__ = ["explain", "plan_events", "render_plan", "render_rule_plans"]
 
 
 def _describe_node(node: Plan) -> str:
@@ -101,6 +103,23 @@ def render_plan(plan: Plan, max_nodes: int = 400) -> str:
 
     rec(plan, 0)
     return "\n".join(lines)
+
+
+def render_rule_plans(owner: str, rule, compiled) -> list[str]:
+    """Render the plans a compiled update rule runs, one block per plan:
+    each temporary, then each definition's Δ⁺ and Δ⁻ plans (the tuples it
+    adds and removes).  ``rule`` is the :class:`~repro.dynfo.program.UpdateRule`
+    (for the frames), ``compiled`` its generic or parameter-specialized
+    :class:`~repro.dynfo.program.CompiledRule`; blocks are headed
+    ``owner :: name(frame)``."""
+    blocks = []
+    for temp, (name, plan) in zip(rule.temporaries, compiled.temporaries):
+        blocks.append(f"{owner} [temp] :: {name}({', '.join(temp.frame)})\n{render_plan(plan)}")
+    for definition, (name, plus, minus) in zip(rule.definitions, compiled.definitions):
+        head = f"{owner} :: {name}({', '.join(definition.frame)})"
+        blocks.append(f"{head} [delta+]\n{render_plan(plus)}")
+        blocks.append(f"{head} [delta-]\n{render_plan(minus)}")
+    return blocks
 
 
 def plan_events(

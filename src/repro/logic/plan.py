@@ -49,6 +49,7 @@ cardinalities: the plan must be data independent to be cacheable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .evaluation import EvaluationError
 from .syntax import (
@@ -88,6 +89,7 @@ __all__ = [
     "Complement",
     "Union",
     "compile_formula",
+    "compile_formulas",
     "specialize_plan",
     "cached_plan",
     "plan_nodes",
@@ -303,12 +305,24 @@ def compile_formula(
     ``n^k`` cells per tensor regardless — it compiles with
     ``distribute=False``.  This is why plan caches key on the backend.
     """
-    missing = free_vars(formula) - set(frame)
-    if missing:
-        raise PlanError(f"frame {frame} does not bind {sorted(missing)}")
+    return compile_formulas([(formula, frame)], distribute=distribute)[0]
+
+
+def compile_formulas(
+    formulas: Iterable[tuple[Formula, tuple[str, ...]]], *, distribute: bool = True
+) -> list[Plan]:
+    """Compile several ``(formula, frame)`` pairs with one compiler, so
+    equal subformulas anywhere among them become one shared plan node —
+    evaluated once per update by an executor that runs all the plans (a
+    rule's Δ⁺ and Δ⁻ plans share most of their definition's formula)."""
     compiler = _Compiler(distribute=distribute)
-    plan = compiler.plan(simplify(formula))
-    return _align(plan, tuple(frame))
+    plans = []
+    for formula, frame in formulas:
+        missing = free_vars(formula) - set(frame)
+        if missing:
+            raise PlanError(f"frame {frame} does not bind {sorted(missing)}")
+        plans.append(_align(compiler.plan(simplify(formula)), tuple(frame)))
+    return plans
 
 
 # Ad-hoc compile cache for direct evaluator use (rows()/truth() called with
@@ -338,6 +352,8 @@ def cached_plan(
 
 def _align(plan: Plan, columns: tuple[str, ...]) -> Plan:
     """Extend and reorder ``plan`` so its columns are exactly ``columns``."""
+    if isinstance(plan, EmptyScan):
+        return plan if plan.columns == columns else EmptyScan(columns, label=plan.label)
     fresh = tuple(c for c in columns if c not in plan.columns)
     if fresh:
         plan = Extend(plan.columns + fresh, source=plan, fresh=fresh, label="widen")
@@ -352,22 +368,47 @@ def _is_const(term: Term) -> bool:
 
 
 class _Compiler:
-    """Single-use compiler; memoizes subplans by formula identity so a
-    subformula object shared between definitions becomes one shared plan
-    node (evaluated once per update by the executors)."""
+    """Single-use compiler; memoizes subplans by formula *value* so equal
+    subformulas — shared between definitions, or rebuilt equal by a
+    cofactor — become one shared plan node (evaluated once per update by
+    the executors)."""
 
     def __init__(self, distribute: bool = True) -> None:
         self.distribute = distribute
-        self._memo: dict[int, tuple[Formula, Plan]] = {}
+        # A formula's value is interned bottom-up as a small int, cached per
+        # formula object (pinned so its id stays valid): a lookup hashes one
+        # node over its children's ints instead of a whole subtree.
+        self._keys: dict[int, tuple[Formula, int]] = {}
+        self._shapes: dict[tuple, int] = {}
+        self._memo: dict[int, Plan] = {}
+        self._widening: dict[int, tuple[Plan, bool]] = {}
+        self._nnf: dict = {}  # to_nnf's memo, shared by every filter
 
     # -- dispatch -----------------------------------------------------------
 
-    def plan(self, formula: Formula) -> Plan:
-        cached = self._memo.get(id(formula))
+    def _key(self, formula: Formula) -> int:
+        cached = self._keys.get(id(formula))
         if cached is not None:
             return cached[1]
-        result = self._plan_uncached(formula)
-        self._memo[id(formula)] = (formula, result)
+        if isinstance(formula, Not):
+            shape: tuple = (Not, self._key(formula.body))
+        elif isinstance(formula, (And, Or)):
+            shape = (type(formula), *map(self._key, formula.parts))
+        elif isinstance(formula, (Implies, Iff)):
+            shape = (type(formula), self._key(formula.left), self._key(formula.right))
+        elif isinstance(formula, (Exists, Forall)):
+            shape = (type(formula), formula.vars, self._key(formula.body))
+        else:  # a leaf hashes in O(arity)
+            shape = (formula,)
+        key = self._shapes.setdefault(shape, len(self._shapes))
+        self._keys[id(formula)] = (formula, key)
+        return key
+
+    def plan(self, formula: Formula) -> Plan:
+        key = self._key(formula)
+        result = self._memo.get(key)
+        if result is None:
+            result = self._memo[key] = self._plan_uncached(formula)
         return result
 
     def _plan_uncached(self, formula: Formula) -> Plan:
@@ -542,18 +583,18 @@ class _Compiler:
         if self.distribute and isinstance(conjunct, Forall):
             # ∀ȳ ψ == ¬∃ȳ ¬ψ: an antijoin, the inner negation pushed inward
             negated = not negated
-            conjunct = Exists(conjunct.vars, to_nnf(Not(conjunct.body)))
+            conjunct = Exists(conjunct.vars, to_nnf(Not(conjunct.body), self._nnf))
         condition = self.plan(conjunct)
-        if self.distribute and condition.columns and _widens(condition):
+        if self.distribute and condition.columns and self._widens(condition):
             # Correlated filter: standalone, the condition enumerates the
             # universe (n^k rows), yet only the filter's own rows can match —
             # so plan it seeded by them.  The dense executor pays n^k per
             # tensor regardless and keeps the complement (one vector op).
-            conjunct = to_nnf(conjunct)
+            conjunct = to_nnf(conjunct, self._nnf)
             if isinstance(conjunct, Or):
                 # ψ1 ∨ ψ2 == ¬(¬ψ1 ∧ ¬ψ2): antijoin on a conjunction
                 negated = not negated
-                conjunct = to_nnf(Not(conjunct))
+                conjunct = to_nnf(Not(conjunct), self._nnf)
             if isinstance(conjunct, Exists):
                 # the seed's columns are the free variables, which the
                 # quantified names never collide with
@@ -573,6 +614,16 @@ class _Compiler:
             fallback=original,
             label="filter ~" if negated else "filter",
         )
+
+    def _widens(self, plan: Plan) -> bool:
+        """Whether ``plan`` enumerates the universe over some column
+        (memoized per node, pinned so its id stays valid)."""
+        cached = self._widening.get(id(plan))
+        if cached is None:
+            widens = bool(plan.columns) and isinstance(plan, (Complement, Extend))
+            cached = (plan, widens or any(map(self._widens, _children(plan))))
+            self._widening[id(plan)] = cached
+        return cached[1]
 
     # -- static cost model --------------------------------------------------
 
@@ -614,14 +665,6 @@ def _shrinks_only(formula: Formula) -> bool:
         return True
     disjunction = _as_or(formula)
     return disjunction is not None and any(map(_shrinks_only, disjunction.parts))
-
-
-def _widens(plan: Plan) -> bool:
-    """Whether ``plan`` enumerates the universe over some column."""
-    return any(
-        isinstance(node, (Complement, Extend)) and node.columns
-        for node in plan_nodes(plan)
-    )
 
 
 def _static_cost(formula: Formula) -> float:

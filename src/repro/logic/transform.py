@@ -50,6 +50,8 @@ __all__ = [
     "to_prenex",
     "quantifier_prefix",
     "simplify",
+    "cofactor",
+    "deltas",
     "quantifier_rank",
     "connective_depth",
     "formula_size",
@@ -364,28 +366,44 @@ def _all_var_names(formula: Formula) -> set[str]:
 # ---------------------------------------------------------------------------
 
 
-def to_nnf(formula: Formula) -> Formula:
+def to_nnf(formula: Formula, memo: dict | None = None) -> Formula:
     """Negation normal form: negations pushed to atoms, ``->``/``<->``
-    expanded, double negations removed."""
+    expanded, double negations removed.
+
+    ``memo`` (optional, shared across calls) caches results per node object
+    and polarity, and records every result as its own normal form: callers
+    that re-normalize pieces of earlier results, like the planner's nested
+    correlated filters, then get them back in O(1), as the same objects."""
+    if memo is None:
+        memo = {}
+
+    def cached(node: Formula, positive: bool) -> Formula:
+        hit = memo.get((id(node), positive))
+        if hit is not None:
+            return hit[1]
+        result = pos(node) if positive else neg(node)
+        memo[(id(node), positive)] = (node, result)
+        memo[(id(result), True)] = (result, result)
+        return result
 
     def pos(node: Formula) -> Formula:
         if isinstance(node, Not):
-            return neg(node.body)
+            return cached(node.body, False)
         if isinstance(node, And):
-            return And.of(*(pos(p) for p in node.parts))
+            return And.of(*(cached(p, True) for p in node.parts))
         if isinstance(node, Or):
-            return Or.of(*(pos(p) for p in node.parts))
+            return Or.of(*(cached(p, True) for p in node.parts))
         if isinstance(node, Implies):
-            return Or.of(neg(node.left), pos(node.right))
+            return Or.of(cached(node.left, False), cached(node.right, True))
         if isinstance(node, Iff):
             return Or.of(
-                And.of(pos(node.left), pos(node.right)),
-                And.of(neg(node.left), neg(node.right)),
+                And.of(cached(node.left, True), cached(node.right, True)),
+                And.of(cached(node.left, False), cached(node.right, False)),
             )
         if isinstance(node, Exists):
-            return Exists(node.vars, pos(node.body))
+            return Exists(node.vars, cached(node.body, True))
         if isinstance(node, Forall):
-            return Forall(node.vars, pos(node.body))
+            return Forall(node.vars, cached(node.body, True))
         return node
 
     def neg(node: Formula) -> Formula:
@@ -394,30 +412,36 @@ def to_nnf(formula: Formula) -> Formula:
         if isinstance(node, FalseF):
             return TOP
         if isinstance(node, Not):
-            return pos(node.body)
+            return cached(node.body, True)
         if isinstance(node, And):
-            return Or.of(*(neg(p) for p in node.parts))
+            return Or.of(*(cached(p, False) for p in node.parts))
         if isinstance(node, Or):
-            return And.of(*(neg(p) for p in node.parts))
+            return And.of(*(cached(p, False) for p in node.parts))
         if isinstance(node, Implies):
-            return And.of(pos(node.left), neg(node.right))
+            return And.of(cached(node.left, True), cached(node.right, False))
         if isinstance(node, Iff):
             return Or.of(
-                And.of(pos(node.left), neg(node.right)),
-                And.of(neg(node.left), pos(node.right)),
+                And.of(cached(node.left, True), cached(node.right, False)),
+                And.of(cached(node.left, False), cached(node.right, True)),
             )
         if isinstance(node, Exists):
-            return Forall(node.vars, neg(node.body))
+            return Forall(node.vars, cached(node.body, False))
         if isinstance(node, Forall):
-            return Exists(node.vars, neg(node.body))
+            return Exists(node.vars, cached(node.body, False))
         return Not(node)
 
-    return pos(formula)
+    return cached(formula, True)
+
+
+def _same(new: Iterable[Formula], old: Iterable[Formula]) -> bool:
+    return all(a is b for a, b in zip(new, old))
 
 
 def simplify(formula: Formula) -> Formula:
     """Cheap boolean simplification: constant folding, unit laws, trivial
-    equalities, vacuous quantifiers.  Semantics-preserving."""
+    equalities, vacuous quantifiers.  Semantics-preserving.  A subformula
+    with nothing to simplify is returned as the same object, so id-keyed
+    caches (:func:`free_vars`, the planner's) keep hitting on it."""
     if isinstance(formula, Not):
         body = simplify(formula.body)
         if isinstance(body, TrueF):
@@ -426,11 +450,14 @@ def simplify(formula: Formula) -> Formula:
             return TOP
         if isinstance(body, Not):
             return body.body
-        return Not(body)
-    if isinstance(formula, And):
-        return And.of(*(simplify(p) for p in formula.parts))
-    if isinstance(formula, Or):
-        return Or.of(*(simplify(p) for p in formula.parts))
+        return formula if body is formula.body else Not(body)
+    if isinstance(formula, (And, Or)):
+        parts = [simplify(p) for p in formula.parts]
+        if len(parts) > 1 and _same(parts, formula.parts) and not any(
+            isinstance(p, (type(formula), TrueF, FalseF)) for p in parts
+        ):
+            return formula  # what And.of / Or.of would rebuild
+        return type(formula).of(*parts)
     if isinstance(formula, Implies):
         left, right = simplify(formula.left), simplify(formula.right)
         if isinstance(left, TrueF):
@@ -441,6 +468,8 @@ def simplify(formula: Formula) -> Formula:
             return TOP
         if isinstance(right, FalseF):
             return simplify(Not(left))
+        if _same((left, right), (formula.left, formula.right)):
+            return formula
         return Implies(left, right)
     if isinstance(formula, Iff):
         left, right = simplify(formula.left), simplify(formula.right)
@@ -454,12 +483,16 @@ def simplify(formula: Formula) -> Formula:
             return simplify(Not(right))
         if isinstance(right, FalseF):
             return simplify(Not(left))
+        if _same((left, right), (formula.left, formula.right)):
+            return formula
         return Iff(left, right)
     if isinstance(formula, (Exists, Forall)):
         body = simplify(formula.body)
         live = [v for v in formula.vars if v in free_vars(body)]
         if not live:
             return body
+        if body is formula.body and len(live) == len(formula.vars):
+            return formula
         ctor = Exists if isinstance(formula, Exists) else Forall
         return ctor(tuple(live), body)
     if isinstance(formula, Eq) and formula.left == formula.right:
@@ -478,6 +511,58 @@ def simplify(formula: Formula) -> Formula:
             }[type(formula)]
             return TOP if value else BOT
     return formula
+
+
+def cofactor(formula: Formula, atom: Atom, value: bool) -> Formula:
+    """The Shannon cofactor ``formula|atom=value``: every occurrence of
+    ``atom`` replaced by ``true``/``false``, then :func:`simplify`.
+
+    Only occurrences equal to ``atom`` are replaced, and none under a
+    quantifier that binds one of its variables (there the atom denotes a
+    different tuple).  For every assignment of the atom's variables,
+    ``formula`` agrees with ``(atom & formula|true) | (~atom & formula|false)``.
+    """
+    names = {arg.name for arg in atom.args if isinstance(arg, Var)}
+    constant = TOP if value else BOT
+
+    # rebuilds only the spine above replaced atoms: the rest keeps its
+    # identity, and with it the id-keyed caches' entries
+    def rec(node: Formula) -> Formula:
+        if isinstance(node, Atom):
+            return constant if node == atom else node
+        if isinstance(node, Not):
+            body = rec(node.body)
+            return node if body is node.body else Not(body)
+        if isinstance(node, (And, Or)):
+            parts = tuple(rec(p) for p in node.parts)
+            return node if _same(parts, node.parts) else type(node)(parts)
+        if isinstance(node, (Implies, Iff)):
+            left, right = rec(node.left), rec(node.right)
+            if _same((left, right), (node.left, node.right)):
+                return node
+            return type(node)(left, right)
+        if isinstance(node, (Exists, Forall)) and not names.intersection(node.vars):
+            body = rec(node.body)
+            return node if body is node.body else type(node)(node.vars, body)
+        return node
+
+    return simplify(rec(formula))
+
+
+def deltas(
+    name: str, frame: tuple[str, ...], formula: Formula
+) -> tuple[Formula, Formula]:
+    """``(Δ⁺, Δ⁻)`` of the update ``name'(frame) <-> formula``: the tuples
+    the update adds to and removes from ``name``.
+
+    With ``R = name(frame)``, ``Δ⁺ = ~R & formula|R=false`` and
+    ``Δ⁻ = R & ~formula|R=true`` — exact by the Shannon expansion (see
+    :func:`cofactor`).  The frame idioms of update rules fold on their own:
+    ``R | ψ`` has ``Δ⁻ = false`` and ``R & ~ψ`` has ``Δ⁺ = false``."""
+    current = Atom(name, frame)
+    plus = And.of(Not(current), cofactor(formula, current, False))
+    minus = And.of(current, simplify(Not(cofactor(formula, current, True))))
+    return plus, minus
 
 
 def to_prenex(formula: Formula) -> Formula:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping
 
-from ..dynfo.requests import Delete, Insert, Operation, SetConst, request_from_item
+from ..dynfo.requests import request_from_item
 from ..obs.slowlog import SlowLog
 from ..obs.trace import Trace
 from .errors import ProtocolError, error_to_wire
@@ -136,7 +136,7 @@ class DynFOService:
         write dispatched to, or the query it evaluated — as ``render_plan``
         text.  Best effort: never raises into the response path."""
         try:
-            from ..logic.explain import render_plan
+            from ..logic.explain import render_plan, render_rule_plans
             from ..logic.plan import compile_formula
 
             op = item.get("op")
@@ -169,34 +169,16 @@ class DynFOService:
                     if not script:
                         return None
                     request = request_from_item(script[0])
-                if isinstance(request, Insert):
-                    rule = program.on_insert.get(request.rel)
-                elif isinstance(request, Delete):
-                    rule = program.on_delete.get(request.rel)
-                elif isinstance(request, SetConst):
-                    rule = program.on_set.get(request.name)
-                elif isinstance(request, Operation):
-                    rule = program.on_operation.get(request.name)
-                else:  # pragma: no cover - exhaustive over Request kinds
-                    rule = None
-                if rule is None:
-                    return None
-                parts = render_definitions(f"{request} [temp]", rule.temporaries)
-                parts += render_definitions(str(request), rule.definitions)
-                # on the delta path, also dump the parameter-specialized
-                # plans that actually executed — the generic plan alone can
-                # hide why a specific binding was slow
-                _, _, specialized = session.engine.specialized_plans_for(request)
-                if specialized is not None:
-                    for name, plan in specialized.temporaries:
-                        parts.append(
-                            f"{request} [specialized temp] :: {name}\n"
-                            f"{render_plan(plan)}"
-                        )
-                    for name, plan in specialized.definitions:
-                        parts.append(
-                            f"{request} [specialized] :: {name}\n{render_plan(plan)}"
-                        )
+                # the plans that ran: the Δ plans on the plan backends
+                # (parameter-specialized on the delta path); the naive and
+                # callable backends evaluate the definitions whole.  Raises
+                # (no plan) for a request the engine rejects.
+                rule, _, compiled = session.engine.specialized_plans_for(request)
+                if compiled is not None:
+                    parts = render_rule_plans(str(request), rule, compiled)
+                else:
+                    parts = render_definitions(f"{request} [temp]", rule.temporaries)
+                    parts += render_definitions(str(request), rule.definitions)
                 return "\n".join(parts)
         except Exception:  # pragma: no cover - diagnostics must not raise
             return None

@@ -56,13 +56,16 @@ def _leaves(extra_consts: tuple[str, ...] = ()) -> st.SearchStrategy:
 
 
 def formulas(
-    max_depth: int = 4, extra_consts: tuple[str, ...] = ()
+    max_depth: int = 4,
+    extra_consts: tuple[str, ...] = (),
+    extra_leaves: tuple = (),
 ) -> st.SearchStrategy:
     """Random formulas; free variables are always within VARS.
 
     ``extra_consts`` adds symbolic constants beyond the vocabulary's —
     e.g. update-parameter names resolved via the evaluators' ``params``
-    mapping rather than the structure."""
+    mapping rather than the structure.  ``extra_leaves`` adds fixed leaf
+    formulas, drawn as often as all the random leaves together."""
 
     def extend(children: st.SearchStrategy) -> st.SearchStrategy:
         quantified = st.builds(
@@ -80,7 +83,10 @@ def formulas(
             quantified,
         )
 
-    return st.recursive(_leaves(extra_consts), extend, max_leaves=8)
+    leaves = _leaves(extra_consts)
+    if extra_leaves:
+        leaves = st.one_of(leaves, st.sampled_from(extra_leaves))
+    return st.recursive(leaves, extend, max_leaves=8)
 
 
 @st.composite

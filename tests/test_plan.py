@@ -8,6 +8,7 @@ from repro.logic.explain import render_plan
 from repro.logic.plan import (
     AtomScan,
     ConstBind,
+    EmptyScan,
     Filter,
     HashJoin,
     Plan,
@@ -21,7 +22,7 @@ from repro.logic.plan import (
     plan_nodes,
 )
 from repro.logic.relational import RelationalEvaluator
-from repro.logic.syntax import And, Not
+from repro.logic.syntax import BOT, And, Not
 
 E = Rel("E")
 U = Rel("U")
@@ -45,6 +46,14 @@ class TestCompile:
     def test_plan_columns_match_frame_exactly(self):
         plan = compile_formula(E("x", "y"), ("y", "q", "x"))
         assert plan.columns == ("y", "q", "x")
+
+    def test_false_body_is_an_empty_scan_over_the_frame(self):
+        # a ⊥ body (e.g. a Δ⁻ of the frame idiom R | ψ) aligns to the frame
+        # without an Extend enumerating n^|frame| rows
+        plan = compile_formula(BOT, ("x", "y", "z"))
+        assert isinstance(plan, EmptyScan)
+        assert plan.columns == ("x", "y", "z")
+        assert RelationalEvaluator(small_structure()).execute(plan) == set()
 
     def test_direct_atom_scan(self):
         plan = compile_formula(E("x", "y"), ("x", "y"))

@@ -5,7 +5,8 @@ set-based executor a :class:`Complement` or :class:`Extend` over ``k``
 columns materializes ``n^k`` rows whatever the data, so no update-rule plan
 of a shipped program may contain one wider than two columns: universals and
 negated conjuncts are planned as correlated filters seeded by the rows they
-filter (see ``logic/plan.py``).
+filter (see ``logic/plan.py``).  The plans checked are the ones that run:
+each temporary, and each definition's Δ⁺ and Δ⁻ plans.
 """
 
 import itertools
@@ -50,7 +51,11 @@ def test_no_wide_universe_enumeration_in_update_rules(name):
     offending = []
     for tag, rule in _rules(program):
         plans = compiled.rule_plans(rule)
-        for definition, plan in plans.temporaries + plans.definitions:
+        # the plans that run: the temporaries, then each definition's Δ pair
+        runs = list(plans.temporaries)
+        for definition, plus, minus in plans.definitions:
+            runs += [(f"{definition} Δ+", plus), (f"{definition} Δ-", minus)]
+        for definition, plan in runs:
             for node in plan_nodes(plan):
                 if isinstance(node, (Complement, Extend)) and len(node.columns) > MAX_WIDTH:
                     offending.append(
