@@ -75,8 +75,8 @@ def main(argv=None) -> int:
         "--delta",
         action="store_true",
         help="emit the delta-path E24 payload (BENCH_delta.json) instead of "
-        "the plan-cache one; reports the delta-vs-full speedup, the journal "
-        "bytes reduction, and the history-independence flatness ratio",
+        "the plan-cache one; reports the speedup over git:a185027, journal "
+        "bytes per update, and the history-independence flatness ratio",
     )
     args = parser.parse_args(argv)
     if args.delta:
@@ -88,17 +88,20 @@ def main(argv=None) -> int:
             out = "BENCH_delta.json"
         payload = collect_delta(quick=args.quick)
         path = write_delta_json(out, payload)
-        relational = payload["arms"]["relational"]
+        for backend, arm in payload["arms"].items():
+            production = arm["production"]
+            line = (
+                f"reach_u n={production['n']} {backend}: "
+                f"{production['per_update_ns']} ns/update, journal "
+                f"{production['journal_bytes_per_update']} B/update"
+            )
+            if "speedup_x" in arm:
+                line += (
+                    f"; {arm['speedup_x']}x vs {arm['baseline']['source']} "
+                    f"({arm['baseline']['per_update_ns']} ns/update)"
+                )
+            print(line)
         curve = payload["history_independence"]
-        print(
-            f"reach_u n={relational['delta']['n']} relational: "
-            f"{relational['speedup_x']}x delta vs full "
-            f"({relational['full']['per_update_ns']} -> "
-            f"{relational['delta']['per_update_ns']} ns/update); "
-            f"journal {relational['journal_reduction_x']}x smaller "
-            f"({relational['full']['journal_bytes_per_update']} -> "
-            f"{relational['delta']['journal_bytes_per_update']} B/update)"
-        )
         print(
             f"history independence: flatness {curve['flatness_ratio']} over "
             f"{curve['steps']} steps (n={curve['n']})"

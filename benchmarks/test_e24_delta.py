@@ -1,5 +1,5 @@
-"""E24 — Delta-path smoke: differential staging never loses to full
-rematerialization, and effect-record journals shrink with the delta.
+"""E24 — Delta-path smoke: the production arm and its ``git:a185027``
+baseline both run, specialized plans are reused, and latency stays flat.
 
 Marked ``quick`` so CI can run it without pytest-benchmark as a regression
 tripwire for the delta pipeline (``pytest benchmarks -m quick``); the
@@ -9,40 +9,49 @@ machine-readable trajectory lives in BENCH_delta.json
 
 import pytest
 
-from repro.bench.delta import measure_history_curve, measure_mode
+from repro.bench.delta import (
+    FULL_REWRITE_REV,
+    measure_history_curve,
+    measure_production,
+)
+from repro.bench.plan_cache import measure_baseline_rev
 from repro.dynfo import DynFOEngine
 from repro.programs import make_reach_u_program
 from repro.workloads import undirected_script
 
 pytestmark = pytest.mark.quick
 
-# The regression gate: on the tiny smoke workload the delta path's wins are
-# modest (indexes and specialization amortize with scale), but it must never
-# run meaningfully slower than the full path it replaces.
-GATE = 1.1
+
+def _baseline(**kwargs):
+    baseline = measure_baseline_rev(FULL_REWRITE_REV, n=8, steps=4, **kwargs)
+    if baseline is None:
+        pytest.skip(f"git history with {FULL_REWRITE_REV} is not available")
+    return baseline
 
 
-def test_delta_not_slower_than_full_smoke():
-    delta = measure_mode(use_delta=True, n=12, steps=30)
-    full = measure_mode(use_delta=False, n=12, steps=30)
-    assert delta["per_update_ns"] <= full["per_update_ns"] * GATE, (
-        f"delta path regressed: {delta['per_update_ns']} ns/update vs "
-        f"{full['per_update_ns']} full (gate {GATE}x)"
-    )
+@pytest.mark.parametrize("backend", ["relational", "dense"])
+def test_baseline_arm_replays_the_identical_script(backend):
+    """The speedup's control arm: the whole source tree at a185027, exported
+    from git, replays the script the production arm replays."""
+    baseline = _baseline(backend=backend)
+    production = measure_production(backend=backend, n=8, steps=4)
+    assert baseline["source"] == f"git:{FULL_REWRITE_REV}"
+    assert baseline["steps"] == production["steps"] == 4
+    assert baseline["per_update_ns"] > 0
 
 
-def test_delta_journal_bytes_shrink():
-    delta = measure_mode(use_delta=True, n=12, steps=30)
-    full = measure_mode(use_delta=False, n=12, steps=30)
-    assert (
-        delta["journal_bytes_per_update"] < full["journal_bytes_per_update"]
-    ), "delta effect records should be smaller than full-rewrite records"
+def test_failed_baseline_replay_raises():
+    """A baseline that cannot run must not drop out of BENCH_delta.json
+    silently: the subprocess's stderr surfaces as an error."""
+    _baseline()  # skips without git history
+    with pytest.raises(RuntimeError, match="unknown backend"):
+        measure_baseline_rev(FULL_REWRITE_REV, n=8, steps=4, backend="no-such-backend")
 
 
 def test_specialized_plans_cache_hits():
     """Repeated parameter values must hit the specialized-plan cache, not
     respecialize: replaying the same script again adds zero misses."""
-    engine = DynFOEngine(make_reach_u_program(), 8, use_delta=True)
+    engine = DynFOEngine(make_reach_u_program(), 8)
     script = undirected_script(8, 30, seed=2)
     for request in script:
         engine.apply(request)
@@ -53,14 +62,6 @@ def test_specialized_plans_cache_hits():
     second = engine.specialized_plan_cache_stats()
     assert second["misses"] == first["misses"]
     assert second["hits"] >= first["hits"] + len(script)
-
-
-def test_full_mode_records_displacement_stats():
-    """The no-delta arm still accounts tuples_added/removed (displacement
-    of the rewritten relations) so dashboards stay comparable."""
-    full = measure_mode(use_delta=False, n=10, steps=20)
-    assert full["tuples_added_total"] >= 0
-    assert full["mode"] == "full"
 
 
 def test_history_curve_smoke():

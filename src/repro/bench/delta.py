@@ -1,21 +1,23 @@
 """Machine-readable delta-path benchmark (``BENCH_delta.json``).
 
-Experiment E24.  The delta-restricted update path (PR 5) claims three
-things, each measured by one arm here:
+Experiment E24.  The delta-restricted update path claims three things,
+each measured here:
 
 ``speedup``
-    Parameter-specialized plans + indexed atom probes + symmetric-difference
-    staging make a reach_u update on the relational backend at n=64 at least
-    3x faster than the PR-4 full-rematerialization path.  Both arms replay
-    the *identical* script; the full arm is the production engine with
-    ``use_delta=False`` — exactly the ``--no-delta`` escape hatch.
+    Parameter-specialized Δ plans + indexed atom probes + trusted Δ staging
+    make a reach_u update faster than the full-rematerialization engine of
+    ``git:a185027`` (the last commit before the delta path).  Both arms
+    replay the *identical* script; the baseline arm is that revision's whole
+    source tree, run in a subprocess by
+    :func:`~repro.bench.plan_cache.measure_baseline_rev`.  The production
+    arm also pays for its effect journal (``fsync=False``) and the baseline
+    writes none, so ``speedup_x`` is a lower bound.
 
 ``journal``
-    Effect records on the delta path carry the handful of tuples an update
-    actually changed instead of full-relation rewrites, cutting journal
-    bytes per update by at least 5x (measured via
+    Effect records carry the handful of tuples an update actually changed,
+    not whole relations: ``journal_bytes_per_update`` (via
     :attr:`~repro.dynfo.journal.RequestJournal.bytes_written` with
-    ``record_effects=True`` in both modes).
+    ``record_effects=True``) is reported as an absolute number.
 
 ``history_independence``
     Per-update latency stays flat as history accumulates — the paper's
@@ -35,16 +37,17 @@ import statistics
 import tempfile
 import time
 from pathlib import Path
-from typing import Sequence
 
 from ..dynfo.engine import DynFOEngine
 from ..dynfo.journal import RequestJournal
 from ..dynfo.requests import Delete, Insert, Request
 from ..programs import PROGRAM_FACTORIES
 from ..workloads import undirected_script
+from .plan_cache import measure_baseline_rev
 
 __all__ = [
-    "measure_mode",
+    "FULL_REWRITE_REV",
+    "measure_production",
     "churn_script",
     "measure_history_curve",
     "collect",
@@ -52,30 +55,28 @@ __all__ = [
 ]
 
 
-def _script(n: int, steps: int, seed: int) -> Sequence[Request]:
-    return undirected_script(n, steps, seed=seed)
+# The last commit before the delta path: its engine rewrote every
+# redefined relation whole on each update.
+FULL_REWRITE_REV = "a185027"
 
 
-def measure_mode(
+def measure_production(
     *,
-    use_delta: bool,
     backend: str = "relational",
     n: int = 64,
     steps: int = 60,
     seed: int = 11,
 ) -> dict:
-    """One arm: replay the reach_u script with or without the delta path,
-    journaling effect records, and report per-update time, journal bytes,
-    and the engine's delta/cache counters."""
+    """The production arm: replay the reach_u script journaling effect
+    records, and report per-update time, journal bytes, and the engine's
+    delta/cache counters."""
     program = PROGRAM_FACTORIES["reach_u"]()  # fresh program => clean caches
-    script = _script(n, steps, seed)
+    script = undirected_script(n, steps, seed=seed)
     with tempfile.TemporaryDirectory(prefix="dynfo-delta-bench-") as tmp:
         journal = RequestJournal(
             Path(tmp) / "journal.ndjson", fsync=False, record_effects=True
         )
-        engine = DynFOEngine(
-            program, n, backend=backend, journal=journal, use_delta=use_delta
-        )
+        engine = DynFOEngine(program, n, backend=backend, journal=journal)
         added = removed = 0
         started = time.perf_counter_ns()
         for request in script:
@@ -87,7 +88,6 @@ def measure_mode(
         journal.close()
         spec = engine.specialized_plan_cache_stats()
     return {
-        "mode": "delta" if use_delta else "full",
         "backend": backend,
         "n": n,
         "steps": len(script),
@@ -150,7 +150,7 @@ def measure_history_curve(
     """
     program = PROGRAM_FACTORIES["reach_u"]()
     warmup, churn = churn_script(n, steps, seed=seed, density=density)
-    engine = DynFOEngine(program, n, backend=backend, use_delta=True)
+    engine = DynFOEngine(program, n, backend=backend)
     for request in warmup:
         engine.apply(request)
     # time each delete+insert pair as one sample: individually the stream is
@@ -187,30 +187,29 @@ def collect(*, quick: bool = False) -> dict:
     """The full ``BENCH_delta.json`` payload.
 
     ``quick`` shrinks universes and scripts for the CI smoke run; the
-    headline acceptance numbers (>=3x speedup, >=5x journal reduction,
-    flatness <= 1.2) come from the full run at n=64 / 10k steps.
+    headline numbers (speedup vs ``git:a185027``, flatness <= 1.2) come
+    from the full run at n=64 / 10k steps.  Without git history the
+    baseline arm and ``speedup_x`` are left out.
     """
     steps = 20 if quick else 60
+    seed = 11  # both arms replay the identical script
     # reach_u's delete rule needs 5 free variables, so the dense backend's
     # n^5 tensor budget caps its universe well below the relational arm's
     sizes = {"relational": 12 if quick else 64, "dense": 12 if quick else 32}
     arms: dict[str, dict] = {}
     for backend in ("relational", "dense"):
         n = sizes[backend]
-        delta = measure_mode(use_delta=True, backend=backend, n=n, steps=steps)
-        full = measure_mode(use_delta=False, backend=backend, n=n, steps=steps)
-        arms[backend] = {
-            "delta": delta,
-            "full": full,
-            "speedup_x": round(
-                full["per_update_ns"] / max(1, delta["per_update_ns"]), 2
-            ),
-            "journal_reduction_x": round(
-                full["journal_bytes_per_update"]
-                / max(1, delta["journal_bytes_per_update"]),
-                2,
-            ),
-        }
+        production = measure_production(backend=backend, n=n, steps=steps, seed=seed)
+        arm: dict = {"production": production}
+        baseline = measure_baseline_rev(
+            FULL_REWRITE_REV, n=n, steps=steps, seed=seed, backend=backend
+        )
+        if baseline is not None:
+            arm["baseline"] = baseline
+            arm["speedup_x"] = round(
+                baseline["per_update_ns"] / max(1, production["per_update_ns"]), 2
+            )
+        arms[backend] = arm
     payload: dict = {
         "benchmark": "delta",
         "unit": "ns/update",

@@ -17,20 +17,22 @@ Three arms per program:
     ad-hoc compile cache is cleared between requests) — isolates what the
     cache saves in *planning* work.
 ``baseline`` (optional, reach_u only)
-    The true pre-refactor per-request path, checked out from git history
-    and run in a subprocess — isolates what the refactor saved in *total*
-    work (planning plus the old evaluators' per-request strategy).
+    The true pre-refactor per-request path: the whole source tree at that
+    revision, exported from git history and run in a subprocess — isolates
+    what the refactor saved in *total* work (planning plus the old
+    evaluators' per-request strategy).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 import time
+import zipfile
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -158,7 +160,7 @@ from repro.dynfo.engine import DynFOEngine
 
 n, steps, seed = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 program = make_reach_u_program()
-engine = DynFOEngine(program, n)
+engine = DynFOEngine(program, n, backend=sys.argv[4])
 script = undirected_script(n, steps, seed=seed)
 started = time.perf_counter_ns()
 for request in script:
@@ -166,58 +168,61 @@ for request in script:
 print((time.perf_counter_ns() - started) // max(1, len(script)))
 """
 
-# Modules whose pre-refactor versions constitute the per-request path; the
-# rest of the tree (programs, workloads, engine plumbing) is current.
-_BASELINE_OVERLAY = (
-    "src/repro/logic/relational.py",
-    "src/repro/logic/dense.py",
-    "src/repro/dynfo/engine.py",
-)
-
 
 def measure_baseline_rev(
     rev: str = PRE_REFACTOR_REV,
     n: int = 64,
     steps: int = 4,
     seed: int = 11,
+    backend: str = "relational",
     timeout: float = 900.0,
 ) -> dict | None:
-    """Measure the true pre-refactor per-request path on reach_u.
+    """Measure reach_u's per-update cost as of git revision ``rev``.
 
-    Copies the current source tree into a temp dir, overlays the
-    pre-refactor evaluator/engine modules from git history, and times the
-    replay in a subprocess.  Returns ``None`` when git history is
-    unavailable (shallow clone, no git) so callers can skip the arm.
+    Exports the whole ``src/`` tree at ``rev`` (``git archive``) into a
+    temp dir and times the replay of the same script in a subprocess.
+    Returns ``None`` when git history is unavailable (no ``.git``, or a
+    shallow clone without ``rev``) so callers can skip the arm; raises
+    :class:`RuntimeError` carrying the subprocess's stderr when the replay
+    itself fails, so a broken baseline cannot drop out silently.
     """
     repo = Path(__file__).resolve()
     while repo.parent != repo and not (repo / ".git").exists():
         repo = repo.parent
     if not (repo / ".git").exists():
         return None
+    archive = subprocess.run(
+        ["git", "-C", str(repo), "archive", "--format=zip", rev, "src"],
+        capture_output=True,
+    )
+    if archive.returncode != 0:
+        return None
     with tempfile.TemporaryDirectory(prefix="dynfo-baseline-") as tmp:
-        shadow = Path(tmp)
-        shutil.copytree(repo / "src", shadow / "src")
-        for rel_path in _BASELINE_OVERLAY:
-            show = subprocess.run(
-                ["git", "-C", str(repo), "show", f"{rev}:{rel_path}"],
-                capture_output=True,
-                text=True,
-            )
-            if show.returncode != 0:
-                return None
-            (shadow / rel_path).write_text(show.stdout)
+        zipfile.ZipFile(io.BytesIO(archive.stdout)).extractall(tmp)
         run = subprocess.run(
-            [sys.executable, "-c", _BASELINE_SCRIPT, str(n), str(steps), str(seed)],
+            [
+                sys.executable,
+                "-c",
+                _BASELINE_SCRIPT,
+                str(n),
+                str(steps),
+                str(seed),
+                backend,
+            ],
             capture_output=True,
             text=True,
             timeout=timeout,
-            env={**os.environ, "PYTHONPATH": str(shadow / "src")},
+            cwd=tmp,
+            env={**os.environ, "PYTHONPATH": str(Path(tmp) / "src")},
         )
     if run.returncode != 0:
-        return None
+        raise RuntimeError(
+            f"baseline replay at git:{rev} ({backend}, n={n}) failed:\n"
+            f"{run.stderr}"
+        )
     return {
         "source": f"git:{rev}",
-        "backend": "relational",
+        "backend": backend,
         "n": n,
         "steps": steps,
         "per_update_ns": int(run.stdout.strip()),

@@ -170,15 +170,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             audit_every=args.audit_every,
             journal=journal,
             max_rows=args.max_rows,
-            use_delta=not args.no_delta,
         )
     finally:
         if journal is not None:
             journal.close()
     elapsed = time.perf_counter() - start
     extras = []
-    if args.no_delta:
-        extras.append("delta staging disabled (full rematerialization)")
     if args.audit_every:
         extras.append(f"integrity-audited every {args.audit_every} requests")
     if args.journal:
@@ -556,12 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="materialization budget per update (rows for the relational "
         "backend); typed EngineError when exceeded",
-    )
-    verify.add_argument(
-        "--no-delta",
-        action="store_true",
-        help="disable delta-restricted staging and run the full "
-        "rematerialization path (escape hatch; see DESIGN §5e)",
     )
     verify.set_defaults(fn=_cmd_verify)
 

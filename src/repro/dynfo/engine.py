@@ -93,7 +93,6 @@ class DynFOEngine:
         audit_every: int = 0,
         journal: "RequestJournal | None" = None,
         max_rows: int | None = None,
-        use_delta: bool = True,
     ) -> None:
         if isinstance(backend, str):
             if backend not in BACKENDS:
@@ -123,19 +122,15 @@ class DynFOEngine:
                 )
             if max_rows <= 0:
                 raise ValueError(f"max_rows must be positive, got {max_rows}")
+        # The plan backends run each definition's Δ⁺/Δ⁻ plans, parameter-
+        # specialized, with indexed atom probes, and stage the rows as
+        # single-tuple edits.
         self._compiled = program.compile(self.backend_name, n) if self._use_plans else None
-        # The differential update path: each definition's Δ⁺/Δ⁻ plans,
-        # parameter-specialized, with indexed atom probes, staged as single-
-        # tuple edits, and (dense) an in-place-patched relation-tensor cache.
-        # False is the full-rewrite control arm: generic plans, full scans,
-        # and wholesale set_relation staging of every redefined relation —
-        # the `--no-delta` escape hatch.
-        self.use_delta = use_delta
         # relation name -> (version, ndarray); patched in place after each
         # commit so the dense backend stops rebuilding every tensor per
-        # request.  Only the delta path maintains it.
+        # request.
         self._dense_cache: dict | None = (
-            {} if use_delta and self.backend_name == "dense" and self._use_plans else None
+            {} if self.backend_name == "dense" and self._use_plans else None
         )
         self.program = program
         self.n = n
@@ -156,8 +151,7 @@ class DynFOEngine:
         # measure of experiment E19): on the plan backends the rows of the
         # Δ⁺/Δ⁻ plans, so it tracks tuples_added + tuples_removed; on the
         # naive and callable backends, which evaluate whole new relations
-        # and diff them, and under use_delta=False, which rewrites them
-        # whole, the size of the new relations.
+        # and diff them, the size of the new relations.
         self.last_update_stats: dict[str, int] = {
             "relations_redefined": 0,
             "tuples_written": 0,
@@ -249,26 +243,24 @@ class DynFOEngine:
         ``self.structure``."""
         source = self.structure
         temporary_tuples = 0
-        use_delta = self.use_delta
         try:
-            # compiled once per (rule, backend, n), then a cache hit forever;
-            # the delta path additionally folds the bound parameters into the
-            # plans (cached per (rule, param values))
-            if self._compiled is None:
-                compiled = None
-            elif use_delta:
-                compiled = self._compiled.specialized_rule_plans(rule, params)
-            else:
-                compiled = self._compiled.rule_plans(rule)
+            # compiled once per (rule, backend, n), then a cache hit forever,
+            # with the bound parameters folded into the plans (cached per
+            # (rule, param values))
+            compiled = (
+                None
+                if self._compiled is None
+                else self._compiled.specialized_rule_plans(rule, params)
+            )
             if rule.temporaries:
                 scratch_vocab = self.program.aux_vocabulary.extend(
                     relations=[(d.name, len(d.frame)) for d in rule.temporaries]
                 )
-                # the delta path borrows the live relations into the scratch
-                # expansion (O(1) per relation) instead of copying them; the
-                # scratch only ever *replaces* temporaries, never edits
-                # inherited relations in place, so borrowing is safe
-                source = self.structure.expand(scratch_vocab, borrow=use_delta)
+                # borrow the live relations into the scratch expansion (O(1)
+                # per relation) instead of copying them; the scratch only
+                # ever *replaces* temporaries, never edits inherited
+                # relations in place, so borrowing is safe
+                source = self.structure.expand(scratch_vocab, borrow=True)
                 scratch_eval = self._make_evaluator(source, params)
                 if compiled is not None:
                     for name, plan in compiled.temporaries:
@@ -322,15 +314,6 @@ class DynFOEngine:
         tuples_removed = 0
         try:
             for name, (added, removed) in changes.items():
-                if not use_delta:
-                    # the full-rewrite control arm: stage the whole new
-                    # relation, displacing every current tuple
-                    current = self.structure.relation_view(name)
-                    rows = (current - removed) | added
-                    batch.set_relation(name, rows)
-                    tuples_added += len(rows)
-                    tuples_removed += len(current)
-                    continue
                 # our own plan evaluators only emit in-arity, in-universe
                 # rows, so their changes skip per-tuple re-validation; rows
                 # from the naive and custom callable backends are checked
@@ -371,7 +354,7 @@ class DynFOEngine:
             ) from error
         stats = {
             "relations_redefined": len(changes),
-            "tuples_written": written if use_delta else tuples_added,
+            "tuples_written": written,
             "temporary_tuples": temporary_tuples,
             "tuples_added": tuples_added,
             "tuples_removed": tuples_removed,
@@ -380,17 +363,14 @@ class DynFOEngine:
 
     def _make_evaluator(self, structure: Structure, params: Mapping[str, int]):
         """A backend evaluator over ``structure``, honouring the engine's
-        materialization budget (``max_rows``) and delta-path acceleration
-        (indexed probes / the relation-tensor cache) on the optimized
-        backends."""
+        materialization budget (``max_rows``) and, on the dense backend, the
+        relation-tensor cache."""
         if not self._use_plans:
             return self._backend_factory(structure, params)
         kwargs: dict = {}
         if self.backend_name == "relational":
             if self.max_rows is not None:
                 kwargs["max_rows"] = self.max_rows
-            # --no-delta restores the pre-index full-scan path wholesale
-            kwargs["use_indexes"] = self.use_delta
         else:
             if self.max_rows is not None:
                 kwargs["max_cells"] = self.max_rows
@@ -399,12 +379,11 @@ class DynFOEngine:
         return self._backend_factory(structure, params, **kwargs)
 
     def _dense_cache_prepare(self, batch: BatchUpdate) -> set[str]:
-        """Before commit: drop tensor-cache entries the batch invalidates
-        wholesale or that are already stale, and return the relations whose
-        cached tensor is current and can be patched in place after commit."""
+        """Before commit: drop the batch's stale tensor-cache entries, and
+        return the relations whose cached tensor is current and can be
+        patched in place after commit.  ``_stage`` stages only single-tuple
+        edits, so every change the batch makes is seen here."""
         cache = self._dense_cache
-        for name in batch.staged_replacements:
-            cache.pop(name, None)
         patchable: set[str] = set()
         for _, name, _ in batch.staged_edits:
             entry = cache.get(name)
@@ -561,9 +540,7 @@ class DynFOEngine:
         return fresh() if callable(fresh) else self._backend_factory
 
     def _replay(self, script, factory) -> "DynFOEngine":
-        clone = DynFOEngine(
-            self.program, self.n, backend=factory, use_delta=self.use_delta
-        )
+        clone = DynFOEngine(self.program, self.n, backend=factory)
         clone.structure = self._audit_base.copy()
         for request in script:
             clone.apply(request)
@@ -641,14 +618,12 @@ class DynFOEngine:
         query = self._get_query(name)
         bound = {p: params[p] for p in query.params}
         evaluator = self._make_evaluator(self.structure, bound)
-        try:
-            if self._compiled is not None:
-                return evaluator.execute(self._compiled.query_plan(query))
-            return evaluator.rows(query.formula, query.frame)
-        except EvaluationError as error:
-            raise EngineError(
-                f"query {name!r} exceeded the evaluation budget: {error}"
-            ) from error
+        if self._compiled is not None:
+            plan = self._compiled.query_plan(query)
+            return self._budgeted(name, lambda: evaluator.execute(plan))
+        return self._budgeted(
+            name, lambda: evaluator.rows(query.formula, query.frame)
+        )
 
     def ask(self, name: str, **params: int) -> bool:
         """Evaluate a boolean query (empty frame)."""
@@ -657,10 +632,17 @@ class DynFOEngine:
             raise ValueError(f"query {name!r} returns a relation; use query()")
         bound = {p: params[p] for p in query.params}
         evaluator = self._make_evaluator(self.structure, bound)
+        if self._compiled is not None:
+            plan = self._compiled.query_plan(query)
+            return bool(self._budgeted(name, lambda: evaluator.execute(plan)))
+        return self._budgeted(name, lambda: evaluator.truth(query.formula))
+
+    @staticmethod
+    def _budgeted(name: str, evaluate):
+        """Run a query evaluation, turning a blown materialization budget
+        (``max_rows``) into a typed :class:`EngineError`."""
         try:
-            if self._compiled is not None:
-                return bool(evaluator.execute(self._compiled.query_plan(query)))
-            return evaluator.truth(query.formula)
+            return evaluate()
         except EvaluationError as error:
             raise EngineError(
                 f"query {name!r} exceeded the evaluation budget: {error}"
@@ -681,10 +663,10 @@ class DynFOEngine:
 
     def specialized_plan_cache_stats(self) -> dict[str, int]:
         """Parameter-specialized plan cache counters (``hits``/``misses``/
-        ``specialize_ns``/``entries``) — the delta path's per-(rule, param
-        values) cache, kept separate from :meth:`plan_cache_stats` whose
+        ``specialize_ns``/``entries``) — the per-(rule, param values)
+        cache, kept separate from :meth:`plan_cache_stats` whose
         counter semantics are pinned.  All zeros off the optimized backends
-        or with ``use_delta=False`` (nothing specializes there)."""
+        (nothing specializes there)."""
         if self._compiled is None:
             return {"hits": 0, "misses": 0, "specialize_ns": 0, "entries": 0}
         return self._compiled.specialized_stats()
@@ -693,14 +675,12 @@ class DynFOEngine:
         """The plans an accepted ``request`` would execute, without applying
         it: ``(rule, params, compiled)`` where ``compiled`` is the
         :class:`~.program.CompiledRule` (temporaries, then each definition's
-        Δ⁺/Δ⁻ plans) — parameter-specialized on the delta path, generic with
-        ``use_delta=False`` — or ``None`` on the naive and callable backends,
-        which evaluate formulas.  Used by the slowlog to render what ran."""
+        Δ⁺/Δ⁻ plans), parameter-specialized — or ``None`` on the naive and
+        callable backends, which evaluate formulas.  Used by the slowlog to
+        render what ran."""
         rule, params, _ = self._dispatch(request)
         if self._compiled is None:
             return rule, params, None
-        if not self.use_delta:
-            return rule, params, self._compiled.rule_plans(rule)
         return rule, params, self._compiled.specialized_rule_plans(rule, params)
 
     def apply_effects(self, request: Request, effects: Mapping) -> None:
@@ -749,8 +729,8 @@ class DynFOEngine:
             var: Lit(value) for var, value in zip(query.frame, tup)
         }
         ground = substitute(query.formula, mapping)
-        evaluator = self._backend_factory(self.structure, {})
-        return evaluator.truth(ground)
+        evaluator = self._make_evaluator(self.structure, {})
+        return self._budgeted(name, lambda: evaluator.truth(ground))
 
     # -- introspection -----------------------------------------------------------
 

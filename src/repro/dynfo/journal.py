@@ -25,13 +25,14 @@ is the usual one: never acknowledge a request to its submitter until a
 Effect records (PR 5): a journal opened with ``record_effects=True`` asks
 the engine to attach each request's committed state transition —
 :meth:`~repro.logic.structure.BatchUpdate.effects` — under an ``"fx"`` key.
-On the delta path that is the handful of tuples the update actually
-changed, so journal bytes per update scale with the delta rather than with
-|aux|, and :func:`recover` can replay the record *physically* (apply the
-recorded transition, no formula re-evaluation) instead of logically.
-Journals without effects (and mixed journals: any record missing ``"fx"``)
-still recover via logical replay; readers ignore unknown keys, so the two
-formats interoperate both ways.
+That is the handful of tuples the update actually changed, so journal
+bytes per update scale with the delta rather than with |aux|, and
+:func:`recover` can replay the record *physically* (apply the recorded
+transition, no formula re-evaluation) instead of logically.  Journals of
+earlier engines may carry whole redefined relations under ``"set"``; they
+replay physically too.  Journals without effects (and mixed journals: any
+record missing ``"fx"``) still recover via logical replay; readers ignore
+unknown keys, so the two formats interoperate both ways.
 """
 
 from __future__ import annotations

@@ -61,7 +61,6 @@ class ReplayHarness:
     audit_every: int = 0
     journal: "RequestJournal | None" = None
     max_rows: int | None = None
-    use_delta: bool = True
     engine: DynFOEngine = field(init=False)
     inputs: Structure = field(init=False)
     steps: int = field(init=False, default=0)
@@ -74,7 +73,6 @@ class ReplayHarness:
             audit_every=self.audit_every,
             journal=self.journal,
             max_rows=self.max_rows,
-            use_delta=self.use_delta,
         )
         self.inputs = Structure.initial(self.program.input_vocabulary, self.n)
 
@@ -122,15 +120,13 @@ def verify_program(
     audit_every: int = 0,
     journal: "RequestJournal | None" = None,
     max_rows: int | None = None,
-    use_delta: bool = True,
 ) -> ReplayHarness:
     """Replay ``script`` checking after every ``check_every`` requests.
 
-    ``audit_every``/``journal``/``max_rows``/``use_delta`` are forwarded to
-    the engine (see :class:`DynFOEngine`): the run then additionally
-    self-audits against from-scratch replays, journals every request to a
-    write-ahead log, caps the evaluation budget per update, and/or falls back
-    to full-rematerialization staging (``use_delta=False``).
+    ``audit_every``/``journal``/``max_rows`` are forwarded to the engine
+    (see :class:`DynFOEngine`): the run then additionally self-audits
+    against from-scratch replays, journals every request to a write-ahead
+    log, and/or caps the evaluation budget per update.
 
     Returns the harness (useful for further probing).  Raises
     :class:`VerificationError` on the first discrepancy.
@@ -144,7 +140,6 @@ def verify_program(
         audit_every=audit_every,
         journal=journal,
         max_rows=max_rows,
-        use_delta=use_delta,
     )
     for request in script:
         harness.step(request)

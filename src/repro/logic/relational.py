@@ -62,11 +62,11 @@ _COMPARE_TESTS = {
 }
 
 # A CompareScan's row set depends only on the operator, the fixed side's
-# value (if any), and n — never on relation data — so the delta-path
-# evaluator shares the materialized sets process-wide instead of rebuilding
-# an O(n^2) set per evaluation.  Entries are read-only by convention: every
-# consumer of Relation.rows in this module only reads, and execute() copies
-# at the boundary.
+# value (if any), and n — never on relation data — so the evaluator shares
+# the materialized sets process-wide instead of rebuilding an O(n^2) set per
+# evaluation.  Entries are read-only by convention: every consumer of
+# Relation.rows in this module only reads, and execute() copies at the
+# boundary.
 _COMPARE_ROWS_CACHE: dict[tuple, set[tuple[int, ...]]] = {}
 
 
@@ -100,39 +100,12 @@ class Relation:
         index = [self.vars.index(v) for v in onto]
         return Relation(tuple(onto), {tuple(row[i] for i in index) for row in self.rows})
 
-    def rename(self, mapping: Mapping[str, str]) -> "Relation":
-        return Relation(tuple(mapping.get(v, v) for v in self.vars), set(self.rows))
-
     def extend(self, var: str, universe: range) -> "Relation":
         """Cross product with the universe on a new column."""
         return Relation(
             self.vars + (var,),
             {row + (value,) for row in self.rows for value in universe},
         )
-
-    def join(self, other: "Relation") -> "Relation":
-        """Natural (hash) join on shared columns."""
-        shared = [v for v in self.vars if v in other.vars]
-        if not shared:
-            out_vars = self.vars + other.vars
-            return Relation(
-                out_vars, {a + b for a in self.rows for b in other.rows}
-            )
-        # index the smaller side
-        left, right = (self, other) if len(self.rows) <= len(other.rows) else (other, self)
-        left_key = [left.vars.index(v) for v in shared]
-        right_key = [right.vars.index(v) for v in shared]
-        right_extra = [i for i, v in enumerate(right.vars) if v not in left.vars]
-        index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for row in left.rows:
-            index.setdefault(tuple(row[i] for i in left_key), []).append(row)
-        out_vars = left.vars + tuple(right.vars[i] for i in right_extra)
-        out_rows: set[tuple[int, ...]] = set()
-        for row in right.rows:
-            key = tuple(row[i] for i in right_key)
-            for match in index.get(key, ()):
-                out_rows.add(match + tuple(row[i] for i in right_extra))
-        return Relation(out_vars, out_rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -153,14 +126,10 @@ class RelationalEvaluator:
         params: Mapping[str, int] | None = None,
         max_rows: int = DEFAULT_MAX_ROWS,
         trace: list | None = None,
-        use_indexes: bool = True,
     ) -> None:
         self.structure = structure
         self.params = dict(params) if params else {}
         self.max_rows = max_rows
-        # probe Structure hash indexes for atoms with fixed columns instead
-        # of scanning; False restores the pre-delta full-scan path
-        self.use_indexes = use_indexes
         # optional plan trace: (depth, event, columns, rows) tuples appended
         # as the executor works — see repro.logic.explain
         self.trace = trace
@@ -246,15 +215,8 @@ class RelationalEvaluator:
             return self._exec_filter(plan)
         if isinstance(plan, Project):
             source = self._exec(plan.source)
-            if self.use_indexes:
-                project = _tuple_getter(tuple(plan.positions))
-                return Relation(
-                    plan.columns, {project(row) for row in source.rows}
-                )
-            return Relation(
-                plan.columns,
-                {tuple(row[p] for p in plan.positions) for row in source.rows},
-            )
+            project = _tuple_getter(tuple(plan.positions))
+            return Relation(plan.columns, {project(row) for row in source.rows})
         if isinstance(plan, Extend):
             relation = self._exec(plan.source)
             for var in plan.fresh:
@@ -284,40 +246,25 @@ class RelationalEvaluator:
             # fully ground atom: O(1) membership instead of a full scan
             probe = tuple(value for _, value in sorted(fixed))
             return Relation.unit() if probe in view else Relation.empty()
-        if self.use_indexes:
-            if fixed:
-                # indexed probe: O(matches) via the structure's hash index on
-                # the fixed column positions instead of an O(|rel|) scan
-                positions = tuple(pos for pos, _ in fixed)
-                key = tuple(value for _, value in fixed)
-                bucket = self.structure.index_on(plan.rel, positions).get(key)
-                if not bucket:
-                    return Relation.empty(plan.columns)
-                return Relation(plan.columns, self._scan_project(bucket, plan))
-            # no fixed columns to index on (permuted or repeated variables):
-            # same full scan as the generic path below, tighter loop
-            return Relation(plan.columns, self._scan_project(view, plan))
-        out_rows = set()
-        for row in view:
-            if any(row[pos] != value for pos, value in fixed):
-                continue
-            ok = True
-            for _, positions in plan.var_cols:
-                first = row[positions[0]]
-                if any(row[p] != first for p in positions[1:]):
-                    ok = False
-                    break
-            if ok:
-                out_rows.add(tuple(row[pos[0]] for _, pos in plan.var_cols))
-        return Relation(plan.columns, out_rows)
+        if fixed:
+            # indexed probe: O(matches) via the structure's hash index on
+            # the fixed column positions instead of an O(|rel|) scan
+            positions = tuple(pos for pos, _ in fixed)
+            key = tuple(value for _, value in fixed)
+            bucket = self.structure.index_on(plan.rel, positions).get(key)
+            if not bucket:
+                return Relation.empty(plan.columns)
+            return Relation(plan.columns, self._scan_project(bucket, plan))
+        # no fixed columns to index on (permuted or repeated variables)
+        return Relation(plan.columns, self._scan_project(view, plan))
 
     @staticmethod
     def _scan_project(rows, plan: AtomScan) -> set[tuple[int, ...]]:
         """Project ``rows`` (full-arity tuples of ``plan.rel``) onto the
-        plan's output columns, enforcing repeated-variable agreement.  The
-        delta-path scan kernel: one pass, precompiled projector, and the
-        overwhelmingly common repeated-variable shape (one pair) gets a
-        direct comparison instead of generic group machinery."""
+        plan's output columns, enforcing repeated-variable agreement.  One
+        pass, precompiled projector, and the overwhelmingly common
+        repeated-variable shape (one pair) gets a direct comparison instead
+        of generic group machinery."""
         project = _tuple_getter(tuple(pos[0] for _, pos in plan.var_cols))
         groups = [pos for _, pos in plan.var_cols if len(pos) > 1]
         if not groups:
@@ -374,10 +321,7 @@ class RelationalEvaluator:
         )
 
     def _compare_rows(self, key: tuple, build) -> set[tuple[int, ...]]:
-        """Comparison row sets via the process-wide cache (delta path only;
-        the ``--no-delta`` evaluator rebuilds them, the PR-4 behavior)."""
-        if not self.use_indexes:
-            return build()
+        """Comparison row sets via the process-wide cache."""
         key = key + (self.structure.n,)
         rows = _COMPARE_ROWS_CACHE.get(key)
         if rows is None:
@@ -391,28 +335,23 @@ class RelationalEvaluator:
         if not left.rows:
             return Relation.empty(plan.columns)
         right = self._exec(plan.right)
-        if self.use_indexes:
-            # semijoin fast path (delta-path only): when one side's columns
-            # are a subset of the other's, the join is a membership filter —
-            # no hash index to build, and the surviving rows are reused
-            # rather than rebuilt.  Typical shape: a comparison predicate
-            # (x <= y) or a param-bound atom joined against a wide relation.
-            semi = self._semijoin(left, right) or self._semijoin(right, left)
-            if semi is not None:
-                if semi.vars != plan.columns:
-                    semi = semi.project(plan.columns)
-                return semi
-            return self._fused_join(left, right, plan.columns)
-        joined = left.join(right)
-        if joined.vars != plan.columns:  # join ordered by the smaller side
-            joined = joined.project(plan.columns)
-        return joined
+        # semijoin fast path: when one side's columns are a subset of the
+        # other's, the join is a membership filter — no hash index to build,
+        # and the surviving rows are reused rather than rebuilt.  Typical
+        # shape: a comparison predicate (x <= y) or a param-bound atom
+        # joined against a wide relation.
+        semi = self._semijoin(left, right) or self._semijoin(right, left)
+        if semi is not None:
+            if semi.vars != plan.columns:
+                semi = semi.project(plan.columns)
+            return semi
+        return self._fused_join(left, right, plan.columns)
 
     @staticmethod
     def _fused_join(
         left: Relation, right: Relation, columns: tuple[str, ...]
     ) -> Relation:
-        """Hash join emitting ``columns`` directly (delta path): the build
+        """Hash join emitting ``columns`` directly: the build
         side's payload is projected once while indexing, and each output row
         is shaped in the same pass — no intermediate relation, no second
         projection sweep."""

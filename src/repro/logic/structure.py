@@ -431,11 +431,6 @@ class BatchUpdate:
             structure._constants[name] = value
 
     @property
-    def staged_replacements(self) -> dict[str, set[tuple[int, ...]]]:
-        """The whole-relation replacements staged so far (read-only view)."""
-        return self._relations
-
-    @property
     def staged_edits(self) -> list[tuple[str, str, tuple[int, ...]]]:
         """The single-tuple edits staged so far, in staging order
         (``(kind, relation, tuple)`` with kind ``"add"``/``"discard"``)."""
@@ -445,9 +440,9 @@ class BatchUpdate:
         """JSON-serializable description of exactly what :meth:`commit` will
         do, in commit order: whole-relation replacements under ``"set"``,
         single-tuple edits (staging order) under ``"edits"``, constant writes
-        under ``"const"``.  Empty sections are omitted, so a delta-staged
-        batch serializes to a few tuples while a full-rewrite batch carries
-        whole relations.  Replayable via :meth:`Structure.apply_effects`.
+        under ``"const"``.  Empty sections are omitted, so a batch of
+        single-tuple edits serializes to just the tuples it changes.
+        Replayable via :meth:`Structure.apply_effects`.
         """
         fx: dict = {}
         if self._relations:

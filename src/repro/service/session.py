@@ -147,7 +147,6 @@ class Session:
             "durable": self.directory is not None,
             "recovered": self.recovered,
             "poisoned": self.poisoned,
-            "use_delta": self.engine.use_delta,
             "plan_cache": self.engine.plan_cache_stats(),
             "specialized_plan_cache": self.engine.specialized_plan_cache_stats(),
         }

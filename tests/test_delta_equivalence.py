@@ -1,9 +1,12 @@
 """Delta staging is an optimization, not a semantics change: for any request
-script, the delta engine (specialized plans, indexed scans, differential
-staging) must produce the *bit-identical* auxiliary structure the
-full-rematerialization engine (``use_delta=False``, the PR-4 path) produces,
-on both optimized backends — and journals written in either mode must replay
-to the same state, physically or logically."""
+script, the plan backends (specialized Δ plans, indexed scans, trusted Δ
+staging) must produce the *bit-identical* auxiliary structure the naive
+backend produces by evaluating each whole new relation from the FO semantics
+and diffing it — and their effect-record journals must carry the change,
+not the relation, and replay to the same state physically or logically,
+including the whole-relation ``"set"`` records of older journals."""
+
+import functools
 
 import pytest
 
@@ -38,21 +41,53 @@ def case_grid():
     ]
 
 
+def program_grid():
+    return [
+        pytest.param(name, backend, id=f"{name}-{backend}")
+        for name in CASES
+        for backend in BACKENDS
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_states(name, seed):
+    """The naive engine's frozen auxiliary structure after every request."""
+    factory, maker = CASES[name]
+    engine = DynFOEngine(factory(), N, backend="naive")
+    states = []
+    for request in maker(seed):
+        engine.apply(request)
+        states.append(engine.structure.freeze())
+    return states
+
+
+class _EffectCapture:
+    """Duck-typed journal keeping each request's effect record in memory."""
+
+    record_effects = True
+
+    def __init__(self):
+        self.records = []
+
+    def append(self, seq, request, effects=None):
+        self.records.append(effects)
+
+
 class TestDeltaEqualsFull:
     @pytest.mark.parametrize("name,backend,seed", case_grid())
     def test_random_script_bit_identical(self, name, backend, seed):
-        """After every request, the delta engine's auxiliary structure
-        equals the full-rematerialization engine's exactly."""
+        """After every request, the plan backend's auxiliary structure
+        equals the naive engine's, which rewrites each redefined relation
+        in full from the FO semantics."""
         factory, maker = CASES[name]
-        program = factory()
+        engine = DynFOEngine(factory(), N, backend=backend)
         script = maker(seed)
-        delta = DynFOEngine(program, N, backend=backend, use_delta=True)
-        full = DynFOEngine(program, N, backend=backend, use_delta=False)
-        for step, request in enumerate(script):
-            delta.apply(request)
-            full.apply(request)
-            assert delta.aux_snapshot() == full.aux_snapshot(), (
-                f"{name}/{backend}: delta and full diverged after "
+        for step, (request, state) in enumerate(
+            zip(script, _naive_states(name, seed), strict=True)
+        ):
+            engine.apply(request)
+            assert engine.structure.freeze() == state, (
+                f"{name}/{backend}: delta and naive diverged after "
                 f"step {step} ({request})"
             )
 
@@ -62,7 +97,7 @@ class TestDeltaEqualsFull:
         update replayed onto an identical state is a no-op delta."""
         program = make_reach_u_program()
         script = undirected_script(N, 30, seed=9)
-        engine = DynFOEngine(program, N, backend=backend, use_delta=True)
+        engine = DynFOEngine(program, N, backend=backend)
         for request in script:
             engine.apply(request)
         before = engine.aux_snapshot()
@@ -77,37 +112,25 @@ class TestDeltaEqualsFull:
 
 
 class TestJournalEquivalence:
-    @pytest.mark.parametrize("name,backend,seed", case_grid())
-    def test_delta_journal_replay_matches_full_rewrite_journal(
-        self, tmp_path, name, backend, seed
-    ):
-        """A journal written with delta effect records and one written with
-        full-rewrite effect records recover to identical structures."""
+    @pytest.mark.parametrize("name,backend", program_grid())
+    def test_effect_records_carry_the_change(self, tmp_path, name, backend):
+        """No record rewrites a whole relation, and each record's edits are
+        exactly the tuples its request added and removed."""
         factory, maker = CASES[name]
-        script = maker(seed)
-        paths = {}
-        snapshots = {}
-        for mode, use_delta in (("delta", True), ("full", False)):
-            program = factory()
-            path = tmp_path / f"{mode}.ndjson"
-            journal = RequestJournal(path, fsync=False, record_effects=True)
-            engine = DynFOEngine(
-                program, N, backend=backend, journal=journal, use_delta=use_delta
-            )
-            for request in script:
-                engine.apply(request)
-            journal.close()
-            paths[mode] = path
-            snapshots[mode] = engine.aux_snapshot()
-        assert snapshots["delta"] == snapshots["full"]
-        for mode, path in paths.items():
-            recovered = recover(
-                factory(), path, n=N, backend=backend, attach=False
-            )
-            assert recovered.aux_snapshot() == snapshots[mode], (
-                f"{name}/{backend}: physical replay of the {mode} journal "
-                "diverged from the live engine"
-            )
+        path = tmp_path / "journal.ndjson"
+        journal = RequestJournal(path, fsync=False, record_effects=True)
+        engine = DynFOEngine(factory(), N, backend=backend, journal=journal)
+        changed = []
+        for request in maker(3):
+            engine.apply(request)
+            stats = engine.last_update_stats
+            changed.append(stats["tuples_added"] + stats["tuples_removed"])
+        journal.close()
+        records = [fx for _, _, fx in read_journal_entries(path)]
+        assert len(records) == len(changed) == 40
+        for step, (fx, count) in enumerate(zip(records, changed)):
+            assert "set" not in fx, f"{name}/{backend} step {step}"
+            assert len(fx.get("edits", ())) == count, f"{name}/{backend} step {step}"
 
     @pytest.mark.parametrize("name,backend,seed", case_grid())
     def test_physical_and_logical_recovery_agree(
@@ -134,20 +157,37 @@ class TestJournalEquivalence:
         assert physical.aux_snapshot() == engine.aux_snapshot()
         assert physical.requests_applied == len(script)
 
-    def test_delta_journal_is_smaller_on_reach_u(self, tmp_path):
-        """The point of effect records: delta journals carry the symmetric
-        difference, full journals carry whole-relation rewrites."""
-        script = undirected_script(N, 40, seed=5)
-        sizes = {}
-        for mode, use_delta in (("delta", True), ("full", False)):
-            journal = RequestJournal(
-                tmp_path / f"{mode}.ndjson", fsync=False, record_effects=True
-            )
-            engine = DynFOEngine(
-                make_reach_u_program(), N, journal=journal, use_delta=use_delta
-            )
-            for request in script:
-                engine.apply(request)
-            journal.close()
-            sizes[mode] = journal.bytes_written
-        assert sizes["delta"] < sizes["full"]
+    @pytest.mark.parametrize("name,backend", program_grid())
+    def test_whole_relation_set_records_still_recover(self, tmp_path, name, backend):
+        """Journals written by the earlier full-rewrite engine carry each
+        redefined relation whole under ``"set"`` (the input mirror and
+        constants as before).  A journal is input from outside the program,
+        so those records must still replay, physically as logically."""
+        factory, maker = CASES[name]
+        script = maker(17)
+        capture = _EffectCapture()
+        live = DynFOEngine(factory(), N, backend=backend, journal=capture)
+        path = tmp_path / "full-rewrite.ndjson"
+        with RequestJournal(path, fsync=False) as journal:
+            for seq, request in enumerate(script):
+                rule = live.specialized_plans_for(request)[0]
+                defined = rule.defined_names()
+                live.apply(request)
+                fx = dict(capture.records[seq])
+                fx["set"] = {
+                    rel: sorted(list(tup) for tup in live.structure.relation_view(rel))
+                    for rel in defined
+                }
+                edits = [e for e in fx.pop("edits", ()) if e[1] not in defined]
+                if edits:
+                    fx["edits"] = edits
+                journal.append(seq, request, effects=fx)
+        physical = recover(factory(), path, n=N, backend=backend, attach=False)
+        logical = recover(
+            factory(), path, n=N, backend=backend, attach=False, physical=False
+        )
+        assert physical.aux_snapshot() == logical.aux_snapshot()
+        assert physical.aux_snapshot() == live.aux_snapshot()
+        assert physical.requests_applied == len(script)
+        # the physical path was really taken, with whole-relation records
+        assert physical.last_update_stats["relations_redefined"] >= 1

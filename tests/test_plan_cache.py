@@ -4,7 +4,11 @@ import pytest
 
 from repro.dynfo.engine import DynFOEngine
 from repro.dynfo.errors import EngineError, UpdateError
-from repro.programs import make_parity_program, make_reach_u_program
+from repro.programs import (
+    make_lca_program,
+    make_parity_program,
+    make_reach_u_program,
+)
 from repro.workloads import bitflip_script, undirected_script
 
 
@@ -68,13 +72,25 @@ class TestMaxRowsKnob:
         # transactional: the auxiliary structure is untouched and usable
         assert engine.requests_applied == 0
 
-    def test_query_over_budget_raises_typed_engine_error(self):
-        # the connected query is binary: its dense plan needs n^2 = 256
-        # cells, far over a 10-cell budget
-        program = make_reach_u_program()
-        engine = DynFOEngine(program, 16, backend="dense", max_rows=10)
-        with pytest.raises(EngineError):
-            engine.query("connected")
+    @pytest.mark.parametrize(
+        "make_program,backend,read",
+        [
+            # the connected query is binary: its dense plan needs n^2 = 256
+            # cells, far over a 10-cell budget
+            (make_reach_u_program, "dense", lambda e: e.query("connected")),
+            # a ground lca membership still quantifies over the universe
+            # (16 rows or cells) under its forall
+            (make_lca_program, "relational", lambda e: e.holds_in("lca", 0, 0, 0)),
+            (make_lca_program, "dense", lambda e: e.holds_in("lca", 0, 0, 0)),
+        ],
+        ids=["query", "holds_in-relational", "holds_in-dense"],
+    )
+    def test_query_over_budget_raises_typed_engine_error(
+        self, make_program, backend, read
+    ):
+        engine = DynFOEngine(make_program(), 16, backend=backend, max_rows=10)
+        with pytest.raises(EngineError, match="exceeded the evaluation budget"):
+            read(engine)
 
     def test_generous_budget_changes_nothing(self):
         program = make_reach_u_program()
