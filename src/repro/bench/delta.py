@@ -4,7 +4,7 @@ Experiment E24.  The delta-restricted update path claims three things,
 each measured here:
 
 ``speedup``
-    Parameter-specialized Δ plans + indexed atom probes + trusted Δ staging
+    One compiled Δ plan per rule + indexed atom probes + trusted Δ staging
     make a reach_u update faster than the full-rematerialization engine of
     ``git:a185027`` (the last commit before the delta path).  Both arms
     replay the *identical* script; the baseline arm is that revision's whole
@@ -86,7 +86,6 @@ def measure_production(
         per_update_ns = (time.perf_counter_ns() - started) // max(1, len(script))
         journal_bytes = journal.bytes_written
         journal.close()
-        spec = engine.specialized_plan_cache_stats()
     return {
         "backend": backend,
         "n": n,
@@ -96,7 +95,6 @@ def measure_production(
         "journal_bytes_per_update": journal_bytes // max(1, len(script)),
         "tuples_added_total": added,
         "tuples_removed_total": removed,
-        "specialized_plan_cache": spec,
     }
 
 

@@ -203,11 +203,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     # the plans the engine runs: each definition's Δ⁺/Δ⁻ pair, compiled
     # per (backend, n) with the backend's one compile choice (logic/plan.py)
     compiled = program.compile(args.backend, args.n)
-    params = (
-        _parse_params([p for p in args.params.split(",") if p])
-        if args.params
-        else None
-    )
 
     def show(blocks: list[str]) -> None:
         for block in blocks:
@@ -245,10 +240,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         if not show_all and tag not in wanted:
             continue
         show(render_rule_plans(tag, rule, compiled.rule_plans(rule)))
-        if params:
-            bindings = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
-            specialized = compiled.specialized_rule_plans(rule, params)
-            show(render_rule_plans(f"{tag} [{bindings}]", rule, specialized))
     for qname, query in sorted(program.queries.items()):
         if not show_all and qname not in (args.query or []):
             continue
@@ -580,20 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="only these named queries; repeatable",
     )
     explain.add_argument(
-        "--params",
-        default=None,
-        metavar="P",
-        help="comma-separated update-parameter bindings (e.g. 'i=3,j=7'); "
-        "renders the parameter-specialized plans after each rule's generic "
-        "ones",
-    )
-    explain.add_argument(
         "--n",
         type=int,
         default=8,
         metavar="N",
-        help="universe size the plans are compiled for (--params "
-        "specialization folds min/max to 0 and N-1)",
+        help="universe size the plans are compiled for",
     )
     explain.set_defaults(fn=_cmd_explain)
 

@@ -122,9 +122,9 @@ class DynFOEngine:
                 )
             if max_rows <= 0:
                 raise ValueError(f"max_rows must be positive, got {max_rows}")
-        # The plan backends run each definition's Δ⁺/Δ⁻ plans, parameter-
-        # specialized, with indexed atom probes, and stage the rows as
-        # single-tuple edits.
+        # The plan backends run each rule's one compiled plan set, binding
+        # the request's parameters at execute time, with indexed atom
+        # probes, and stage the Δ⁺/Δ⁻ rows as single-tuple edits.
         self._compiled = program.compile(self.backend_name, n) if self._use_plans else None
         # relation name -> (version, ndarray); patched in place after each
         # commit so the dense backend stops rebuilding every tensor per
@@ -244,13 +244,10 @@ class DynFOEngine:
         source = self.structure
         temporary_tuples = 0
         try:
-            # compiled once per (rule, backend, n), then a cache hit forever,
-            # with the bound parameters folded into the plans (cached per
-            # (rule, param values))
+            # compiled once per (rule, backend, n), then a cache hit forever;
+            # the evaluator binds ``params`` when it executes the plans
             compiled = (
-                None
-                if self._compiled is None
-                else self._compiled.specialized_rule_plans(rule, params)
+                None if self._compiled is None else self._compiled.rule_plans(rule)
             )
             if rule.temporaries:
                 scratch_vocab = self.program.aux_vocabulary.extend(
@@ -613,10 +610,27 @@ class DynFOEngine:
                 f"available: {sorted(self.program.queries)}"
             ) from None
 
+    def _bind(
+        self, name: str, names: tuple[str, ...], given: Mapping[str, int]
+    ) -> dict[str, int]:
+        """Bind query ``name``'s parameters ``names`` from ``given``,
+        validated as update parameters are: every name present, none
+        unknown, each value an element of the universe."""
+        missing = [p for p in names if p not in given]
+        unknown = sorted(set(given) - set(names))
+        if missing or unknown:
+            raise RequestValidationError(
+                f"query {name!r} takes parameters ({', '.join(names)}); "
+                f"missing {missing}, unknown {unknown}"
+            )
+        for p in names:
+            self._check_element(given[p], f"parameter {p!r} of query {name!r}")
+        return {p: given[p] for p in names}
+
     def query(self, name: str, **params: int) -> set[tuple[int, ...]]:
         """Evaluate a named query, returning its relation over its frame."""
         query = self._get_query(name)
-        bound = {p: params[p] for p in query.params}
+        bound = self._bind(name, query.params, params)
         evaluator = self._make_evaluator(self.structure, bound)
         if self._compiled is not None:
             plan = self._compiled.query_plan(query)
@@ -630,7 +644,7 @@ class DynFOEngine:
         query = self._get_query(name)
         if query.frame:
             raise ValueError(f"query {name!r} returns a relation; use query()")
-        bound = {p: params[p] for p in query.params}
+        bound = self._bind(name, query.params, params)
         evaluator = self._make_evaluator(self.structure, bound)
         if self._compiled is not None:
             plan = self._compiled.query_plan(query)
@@ -661,27 +675,17 @@ class DynFOEngine:
             return {"hits": 0, "misses": 0, "compile_ns": 0}
         return self._compiled.stats()
 
-    def specialized_plan_cache_stats(self) -> dict[str, int]:
-        """Parameter-specialized plan cache counters (``hits``/``misses``/
-        ``specialize_ns``/``entries``) — the per-(rule, param values)
-        cache, kept separate from :meth:`plan_cache_stats` whose
-        counter semantics are pinned.  All zeros off the optimized backends
-        (nothing specializes there)."""
-        if self._compiled is None:
-            return {"hits": 0, "misses": 0, "specialize_ns": 0, "entries": 0}
-        return self._compiled.specialized_stats()
-
-    def specialized_plans_for(self, request: Request):
+    def plans_for(self, request: Request):
         """The plans an accepted ``request`` would execute, without applying
-        it: ``(rule, params, compiled)`` where ``compiled`` is the
+        it: ``(rule, params, compiled)`` where ``compiled`` is the rule's
         :class:`~.program.CompiledRule` (temporaries, then each definition's
-        Δ⁺/Δ⁻ plans), parameter-specialized — or ``None`` on the naive and
-        callable backends, which evaluate formulas.  Used by the slowlog to
-        render what ran."""
+        Δ⁺/Δ⁻ plans), shared by every request of that rule — or ``None`` on
+        the naive and callable backends, which evaluate formulas.  Used by
+        the slowlog to render what ran."""
         rule, params, _ = self._dispatch(request)
         if self._compiled is None:
             return rule, params, None
-        return rule, params, self._compiled.specialized_rule_plans(rule, params)
+        return rule, params, self._compiled.rule_plans(rule)
 
     def apply_effects(self, request: Request, effects: Mapping) -> None:
         """Replay a journaled effect record physically: validate the request
@@ -725,9 +729,8 @@ class DynFOEngine:
             raise ValueError(
                 f"query {name!r} has frame {query.frame}, got {len(tup)} args"
             )
-        mapping: dict[str, Term] = {
-            var: Lit(value) for var, value in zip(query.frame, tup)
-        }
+        bound = self._bind(name, query.frame, dict(zip(query.frame, tup)))
+        mapping: dict[str, Term] = {var: Lit(value) for var, value in bound.items()}
         ground = substitute(query.formula, mapping)
         evaluator = self._make_evaluator(self.structure, {})
         return self._budgeted(name, lambda: evaluator.truth(ground))

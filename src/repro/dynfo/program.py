@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..logic.plan import Plan, compile_formula, compile_formulas, specialize_plan
+from ..logic.plan import Plan, compile_formula, compile_formulas
 from ..logic.structure import Structure
 from ..logic.syntax import Formula
 from ..logic.transform import (
@@ -165,17 +165,6 @@ class CompiledProgram:
         self.hits = 0
         self.misses = 0
         self.compile_ns = 0
-        # Parameter-specialized plans, keyed by (rule identity, bound param
-        # values) — the delta path's per-request cache, separate from the
-        # generic plan cache above (and from its counters, whose semantics
-        # tests pin).  Bounded: cleared wholesale when full, like the ad-hoc
-        # plan cache.
-        self._specialized: dict[
-            tuple[int, tuple[tuple[str, int], ...]], tuple[UpdateRule, CompiledRule]
-        ] = {}
-        self.spec_hits = 0
-        self.spec_misses = 0
-        self.specialize_ns = 0
 
     def rule_plans(self, rule: UpdateRule) -> CompiledRule:
         """The compiled plans for ``rule`` — its temporaries and each
@@ -203,64 +192,13 @@ class CompiledProgram:
             self._rules[id(rule)] = (rule, compiled)
             return compiled
 
-    #: entries kept before the specialized cache is cleared wholesale
-    SPECIALIZED_LIMIT = 1024
-
     def specialized_rule_plans(
         self, rule: UpdateRule, params: Mapping[str, int]
     ) -> CompiledRule:
-        """Plans for ``rule`` partially evaluated against the bound ``params``.
-
-        Goes through :meth:`rule_plans` first (so the generic cache's
-        one-lookup-per-request counter semantics are unchanged), then folds
-        the parameter values into the plans via
-        :func:`repro.logic.plan.specialize_plan`, cached per (rule, param
-        values).  Scripts reuse parameter values heavily — a bounded cache
-        makes specialization amortize to a dict lookup.
-        """
-        base = self.rule_plans(rule)
-        key = (id(rule), tuple(sorted(params.items())))
-        with self._lock:
-            entry = self._specialized.get(key)
-            if entry is not None and entry[0] is rule:
-                self.spec_hits += 1
-                return entry[1]
-        started = time.perf_counter_ns()
-        values = dict(params)
-        memo: dict[int, Plan] = {}
-        specialized = CompiledRule(
-            temporaries=tuple(
-                (name, specialize_plan(plan, values, self.n, memo))
-                for name, plan in base.temporaries
-            ),
-            definitions=tuple(
-                (
-                    name,
-                    specialize_plan(plus, values, self.n, memo),
-                    specialize_plan(minus, values, self.n, memo),
-                )
-                for name, plus, minus in base.definitions
-            ),
-        )
-        elapsed = time.perf_counter_ns() - started
-        with self._lock:
-            self.spec_misses += 1
-            self.specialize_ns += elapsed
-            if len(self._specialized) >= self.SPECIALIZED_LIMIT:
-                self._specialized.clear()
-            self._specialized[key] = (rule, specialized)
-        return specialized
-
-    def specialized_stats(self) -> dict[str, int]:
-        """Counters for the parameter-specialized plan cache: ``hits``,
-        ``misses``, total ``specialize_ns``, and live ``entries``."""
-        with self._lock:
-            return {
-                "hits": self.spec_hits,
-                "misses": self.spec_misses,
-                "specialize_ns": self.specialize_ns,
-                "entries": len(self._specialized),
-            }
+        """Alias of :meth:`rule_plans`, kept only because ``perfbench``'s
+        span installer looks this name up; nothing here calls it.  Goes away
+        with ROADMAP item 3."""
+        return self.rule_plans(rule)
 
     def query_plan(self, query: "Query") -> Plan:
         """The compiled plan for a named query, compiling on first request."""

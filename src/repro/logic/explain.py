@@ -109,9 +109,8 @@ def render_rule_plans(owner: str, rule, compiled) -> list[str]:
     """Render the plans a compiled update rule runs, one block per plan:
     each temporary, then each definition's Δ⁺ and Δ⁻ plans (the tuples it
     adds and removes).  ``rule`` is the :class:`~repro.dynfo.program.UpdateRule`
-    (for the frames), ``compiled`` its generic or parameter-specialized
-    :class:`~repro.dynfo.program.CompiledRule`; blocks are headed
-    ``owner :: name(frame)``."""
+    (for the frames), ``compiled`` its :class:`~repro.dynfo.program.CompiledRule`;
+    blocks are headed ``owner :: name(frame)``."""
     blocks = []
     for temp, (name, plan) in zip(rule.temporaries, compiled.temporaries):
         blocks.append(f"{owner} [temp] :: {name}({', '.join(temp.frame)})\n{render_plan(plan)}")

@@ -56,7 +56,6 @@ from .syntax import (
     And,
     Atom,
     Bit,
-    Const,
     Eq,
     Exists,
     FalseF,
@@ -65,7 +64,6 @@ from .syntax import (
     Iff,
     Implies,
     Le,
-    Lit,
     Lt,
     Not,
     Or,
@@ -90,7 +88,6 @@ __all__ = [
     "Union",
     "compile_formula",
     "compile_formulas",
-    "specialize_plan",
     "cached_plan",
     "plan_nodes",
     "plan_children",
@@ -696,193 +693,3 @@ def _most_demanded_var(remaining: list[Formula], bound: set[str]) -> str:
         for var in free_vars(conjunct) - bound:
             counts[var] = counts.get(var, 0) + 1
     return max(sorted(counts), key=lambda v: counts[v])
-
-
-# ---------------------------------------------------------------------------
-# Parameter specialization (partial evaluation against bound update params)
-# ---------------------------------------------------------------------------
-
-
-def _static_term_value(
-    term: Term, params: dict[str, int] | None, n: int
-) -> int | None:
-    """The value of a term that is decidable at specialization time, else None.
-
-    Only update parameters, literals, and the numeric constants ``min``/``max``
-    (``n`` is fixed per compiled program) may be folded; structure constants
-    are mutable via SetConst requests and must stay symbolic.  Mirrors
-    :func:`repro.logic.evaluation.eval_term`'s resolution order, where params
-    shadow everything and ``min``/``max`` shadow structure constants.
-    """
-    if isinstance(term, Lit):
-        value = term.value
-    elif isinstance(term, Const):
-        if params is not None and term.name in params:
-            value = params[term.name]
-        elif term.name == "min":
-            value = 0
-        elif term.name == "max":
-            value = n - 1
-        else:
-            return None
-    else:
-        return None
-    # Out-of-universe values raise at execution time; keep that behavior by
-    # refusing to fold them rather than folding to an empty relation.
-    return value if 0 <= value < n else None
-
-
-_COMPARE_OPS = {
-    "eq": lambda a, b: a == b,
-    "le": lambda a, b: a <= b,
-    "lt": lambda a, b: a < b,
-    "bit": lambda a, b: bool((a >> b) & 1),
-}
-
-
-def specialize_plan(
-    plan: Plan,
-    params: dict[str, int],
-    n: int,
-    memo: dict[int, Plan] | None = None,
-) -> Plan:
-    """Partially evaluate ``plan`` against bound update parameters.
-
-    Produces a new plan in which every term resolvable from ``params`` (plus
-    literals and ``min``/``max`` for the fixed universe size ``n``) is folded
-    to a :class:`~repro.logic.syntax.Lit`, statically-decided comparisons
-    collapse to :class:`UnitScan`/:class:`EmptyScan`, and statically-empty
-    branches are pruned (empty join inputs, empty union arms, filters whose
-    guard is decided).  Structure constants are never folded — they are
-    mutable data.
-
-    Node sharing is preserved: a subplan shared between definitions maps to
-    one shared specialized node, so executor-side memoization still evaluates
-    shared guards once per update.  Pass the same ``memo`` dict when
-    specializing several plans of one rule to preserve sharing *across* them
-    too.  Nodes the pass leaves untouched are returned identically
-    (``is``-same), keeping memory flat for plans that mention no parameters.
-    """
-    if memo is None:
-        memo = {}
-
-    def spec(node: Plan) -> Plan:
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
-        out = _specialize(node, spec, params, n)
-        memo[id(node)] = out
-        return out
-
-    return spec(plan)
-
-
-def _specialize(node: Plan, spec, params: dict[str, int], n: int) -> Plan:
-    if isinstance(node, ConstBind):
-        value = _static_term_value(node.term, params, n)
-        if value is None or isinstance(node.term, Lit):
-            return node
-        return ConstBind(node.columns, term=Lit(value), label=node.label)
-    if isinstance(node, CompareScan):
-        left = _static_term_value(node.left, params, n)
-        right = _static_term_value(node.right, params, n)
-        if left is not None and right is not None and not node.columns:
-            if _COMPARE_OPS[node.op](left, right):
-                return UnitScan((), label=f"{node.label}=T")
-            return EmptyScan((), label=f"{node.label}=F")
-        new_left = Lit(left) if left is not None and not isinstance(node.left, Lit) else node.left
-        new_right = Lit(right) if right is not None and not isinstance(node.right, Lit) else node.right
-        if new_left is node.left and new_right is node.right:
-            return node
-        return CompareScan(
-            node.columns, op=node.op, left=new_left, right=new_right, label=node.label
-        )
-    if isinstance(node, AtomScan):
-        fixed = []
-        changed = False
-        for position, term in node.fixed:
-            value = _static_term_value(term, params, n)
-            if value is not None and not isinstance(term, Lit):
-                fixed.append((position, Lit(value)))
-                changed = True
-            else:
-                fixed.append((position, term))
-        if not changed:
-            return node
-        return AtomScan(
-            node.columns,
-            rel=node.rel,
-            args=node.args,
-            fixed=tuple(fixed),
-            var_cols=node.var_cols,
-            direct=node.direct,
-            label=node.label,
-        )
-    if isinstance(node, HashJoin):
-        left, right = spec(node.left), spec(node.right)
-        if isinstance(left, EmptyScan) or isinstance(right, EmptyScan):
-            return EmptyScan(node.columns, label="join=F")
-        if left is node.left and right is node.right:
-            return node
-        return HashJoin(node.columns, left=left, right=right, label=node.label)
-    if isinstance(node, Filter):
-        source, condition = spec(node.source), spec(node.condition)
-        if isinstance(source, EmptyScan):
-            return EmptyScan(node.columns, label="filter=F")
-        if isinstance(condition, EmptyScan):
-            # semijoin against empty keeps nothing; antijoin keeps everything
-            return source if node.negated else EmptyScan(node.columns, label="filter=F")
-        if isinstance(condition, UnitScan):
-            return EmptyScan(node.columns, label="filter=F") if node.negated else source
-        if source is node.source and condition is node.condition:
-            return node
-        return Filter(
-            node.columns,
-            source=source,
-            condition=condition,
-            negated=node.negated,
-            positions=node.positions,
-            fallback=node.fallback,
-            label=node.label,
-        )
-    if isinstance(node, Project):
-        source = spec(node.source)
-        if isinstance(source, EmptyScan):
-            return EmptyScan(node.columns, label="project=F")
-        if source is node.source:
-            return node
-        return Project(
-            node.columns, source=source, positions=node.positions, label=node.label
-        )
-    if isinstance(node, Extend):
-        source = spec(node.source)
-        if isinstance(source, EmptyScan):
-            return EmptyScan(node.columns, label="widen=F")
-        if source is node.source:
-            return node
-        return Extend(node.columns, source=source, fresh=node.fresh, label=node.label)
-    if isinstance(node, Complement):
-        source = spec(node.source)
-        if not node.columns:
-            # nullary guard: complement flips a statically-decided truth value
-            if isinstance(source, EmptyScan):
-                return UnitScan((), label=f"{node.label}=T")
-            if isinstance(source, UnitScan):
-                return EmptyScan((), label=f"{node.label}=F")
-        if source is node.source:
-            return node
-        return Complement(node.columns, source=source, label=node.label)
-    if isinstance(node, Union):
-        parts = tuple(spec(part) for part in node.parts)
-        live = tuple(part for part in parts if not isinstance(part, EmptyScan))
-        if not live:
-            return EmptyScan(node.columns, label="or=F")
-        if len(live) == 1 and live[0].columns == node.columns:
-            return live[0]
-        if len(live) == len(parts) and all(
-            new is old for new, old in zip(parts, node.parts)
-        ):
-            return node
-        return Union(node.columns, parts=live, label=node.label)
-    # UnitScan / EmptyScan leaves
-    return node

@@ -169,11 +169,11 @@ class DynFOService:
                     if not script:
                         return None
                     request = request_from_item(script[0])
-                # the plans that ran: the Δ plans on the plan backends
-                # (parameter-specialized on the delta path); the naive and
-                # callable backends evaluate the definitions whole.  Raises
-                # (no plan) for a request the engine rejects.
-                rule, _, compiled = session.engine.specialized_plans_for(request)
+                # the plans that ran: the rule's Δ plans on the plan
+                # backends; the naive and callable backends evaluate the
+                # definitions whole.  Raises (no plan) for a request the
+                # engine rejects.
+                rule, _, compiled = session.engine.plans_for(request)
                 if compiled is not None:
                     parts = render_rule_plans(str(request), rule, compiled)
                 else:

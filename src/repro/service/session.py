@@ -148,7 +148,6 @@ class Session:
             "recovered": self.recovered,
             "poisoned": self.poisoned,
             "plan_cache": self.engine.plan_cache_stats(),
-            "specialized_plan_cache": self.engine.specialized_plan_cache_stats(),
         }
         journal = self.journal
         if journal is not None:

@@ -37,9 +37,18 @@ class TestCli:
         assert "verified" in capsys.readouterr().out
 
     def test_explain(self, capsys):
+        from repro.programs import make_reach_u_program
+
         assert main(["explain", "reach_u", "--rule", "insert:E"]) == 0
         out = capsys.readouterr().out
         assert "compiled plans" in out and "AtomScan" in out
+        # one plan per rule: each definition's Δ⁺ and Δ⁻ blocks, once
+        definitions = make_reach_u_program().on_insert["E"].definitions
+        assert definitions
+        for d in definitions:
+            head = f"insert:E :: {d.name}({', '.join(d.frame)})"
+            assert out.count(f"{head} [delta+]\n") == 1, head
+            assert out.count(f"{head} [delta-]\n") == 1, head
 
     def test_explain_query_filter(self, capsys):
         assert main(["explain", "reach_u", "--query", "reach"]) == 0

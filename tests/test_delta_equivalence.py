@@ -1,5 +1,5 @@
 """Delta staging is an optimization, not a semantics change: for any request
-script, the plan backends (specialized Δ plans, indexed scans, trusted Δ
+script, the plan backends (compiled Δ plans, indexed scans, trusted Δ
 staging) must produce the *bit-identical* auxiliary structure the naive
 backend produces by evaluating each whole new relation from the FO semantics
 and diffing it — and their effect-record journals must carry the change,
@@ -170,7 +170,7 @@ class TestJournalEquivalence:
         path = tmp_path / "full-rewrite.ndjson"
         with RequestJournal(path, fsync=False) as journal:
             for seq, request in enumerate(script):
-                rule = live.specialized_plans_for(request)[0]
+                rule = live.plans_for(request)[0]
                 defined = rule.defined_names()
                 live.apply(request)
                 fx = dict(capture.records[seq])

@@ -76,6 +76,40 @@ class TestUniverseValidation:
             reach_engine.apply(Operation("zap", (99,), expansion=()))
 
 
+@pytest.mark.parametrize("backend", ["relational", "dense", "naive"])
+class TestQueryParameterValidation:
+    """Query parameters are checked like update parameters, on every
+    backend, before anything is evaluated."""
+
+    @pytest.mark.parametrize(
+        "params,fragment",
+        [
+            ({"s": 999, "t": 999}, "outside the universe"),
+            ({"s": -1, "t": 0}, "outside the universe"),
+            ({"s": True, "t": 0}, "must be an int"),
+            ({"s": 1}, r"missing \['t'\]"),
+            ({"s": 1, "t": 1, "bogus": 5}, r"unknown \['bogus'\]"),
+        ],
+        ids=["out-of-universe", "negative", "bool", "missing", "unknown"],
+    )
+    def test_bad_params_rejected(self, backend, params, fragment):
+        engine = DynFOEngine(make_reach_u_program(), 8, backend=backend)
+        with pytest.raises(RequestValidationError, match=fragment):
+            engine.ask("reach", **params)
+
+    def test_holds_in_frame_values_checked(self, backend):
+        engine = DynFOEngine(make_reach_u_program(), 8, backend=backend)
+        with pytest.raises(RequestValidationError, match="outside the universe"):
+            engine.holds_in("connected", 0, 8)
+
+    def test_valid_params_still_answer(self, backend):
+        engine = DynFOEngine(make_reach_u_program(), 8, backend=backend)
+        engine.insert("E", 2, 5)
+        assert engine.ask("reach", s=5, t=2)
+        assert not engine.ask("reach", s=5, t=3)
+        assert engine.holds_in("connected", 2, 5)
+
+
 class TestTaxonomy:
     def test_hierarchy(self):
         assert issubclass(UnsupportedRequest, RequestValidationError)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dynfo.engine import DynFOEngine
 from repro.dynfo.errors import EngineError, UpdateError
+from repro.dynfo.requests import Insert
 from repro.programs import (
     make_lca_program,
     make_parity_program,
@@ -61,6 +62,32 @@ class TestCompileOnce:
             "misses": 0,
             "compile_ns": 0,
         }
+
+
+class TestOnePlanPerRule:
+    """A rule's update formula is fixed (Definition 3.1): the request's
+    tuple only binds its parameters, so every request of a rule runs the
+    same compiled plans."""
+
+    def test_requests_of_a_rule_share_one_compiled_rule(self):
+        engine = DynFOEngine(make_reach_u_program(), 8, backend="relational")
+        rule, params, first = engine.plans_for(Insert("E", 0, 1))
+        other_rule, other_params, second = engine.plans_for(Insert("E", 5, 3))
+        assert rule is other_rule and params != other_params
+        assert first is second
+
+    def test_distinct_parameters_compile_nothing(self):
+        n = 80
+        engine = DynFOEngine(make_reach_u_program(), n, backend="relational")
+        # warm-up: a path joins every vertex into one tree
+        for a in range(n - 1):
+            engine.insert("E", a, a + 1)
+        misses = engine.plan_cache_stats()["misses"]
+        chords = [(a, a + k) for k in range(2, n) for a in range(n - k)][:300]
+        assert len(set(chords)) == 300
+        for a, b in chords:
+            engine.insert("E", a, b)
+        assert engine.plan_cache_stats()["misses"] == misses
 
 
 class TestMaxRowsKnob:

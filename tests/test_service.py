@@ -333,6 +333,21 @@ def test_tcp_roundtrip_and_connection_survives_bad_frames(tcp_server):
         assert client.ask("g", "reach", s=0, t=1)
 
 
+def test_tcp_ask_out_of_universe_is_request_invalid(tcp_server):
+    with TCPServiceClient(port=tcp_server.port) as client:
+        client.open("g", "reach_u", n=8)
+        frame = {"id": 1, "op": "ask", "session": "g", "name": "reach",
+                 "params": {"s": 999, "t": 999}}
+        client._sock.sendall(encode_frame(frame))
+        response = decode_frame(client._rfile.readline())
+        assert response["ok"] is False
+        assert response["error"]["code"] == "REQUEST_INVALID"
+        assert "outside the universe" in response["error"]["message"]
+        with pytest.raises(RequestValidationError, match="missing"):
+            client.ask("g", "reach", s=1)
+        assert client.ping() == "pong"
+
+
 def test_tcp_read_your_writes_across_clients(tcp_server):
     with TCPServiceClient(port=tcp_server.port) as writer, TCPServiceClient(
         port=tcp_server.port
