@@ -16,8 +16,8 @@ each measured here:
 ``journal``
     Effect records carry the handful of tuples an update actually changed,
     not whole relations: ``journal_bytes_per_update`` (via
-    :attr:`~repro.dynfo.journal.RequestJournal.bytes_written` with
-    ``record_effects=True``) is reported as an absolute number.
+    :attr:`~repro.dynfo.journal.RequestJournal.bytes_written`) is reported
+    as an absolute number.
 
 ``history_independence``
     Per-update latency stays flat as history accumulates — the paper's
@@ -73,9 +73,7 @@ def measure_production(
     program = PROGRAM_FACTORIES["reach_u"]()  # fresh program => clean caches
     script = undirected_script(n, steps, seed=seed)
     with tempfile.TemporaryDirectory(prefix="dynfo-delta-bench-") as tmp:
-        journal = RequestJournal(
-            Path(tmp) / "journal.ndjson", fsync=False, record_effects=True
-        )
+        journal = RequestJournal(Path(tmp) / "journal.ndjson", fsync=False)
         engine = DynFOEngine(program, n, backend=backend, journal=journal)
         added = removed = 0
         started = time.perf_counter_ns()

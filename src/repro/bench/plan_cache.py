@@ -13,9 +13,9 @@ Three arms per program:
     The production path: :class:`~repro.dynfo.engine.DynFOEngine` replaying
     cached plans, with the engine's ``plan_cache_stats()`` counters.
 ``per_request_recompile``
-    The same engine forced to recompile every plan on every request (the
-    ad-hoc compile cache is cleared between requests) — isolates what the
-    cache saves in *planning* work.
+    The same engine forced to recompile its rule's plans on every request
+    (the engine's compiled rule map is cleared between requests) — isolates
+    what the cache saves in *planning* work.
 ``baseline`` (optional, reach_u only)
     The true pre-refactor per-request path: the whole source tree at that
     revision, exported from git history and run in a subprocess — isolates
@@ -38,8 +38,6 @@ from typing import Callable, Sequence
 
 from ..dynfo.engine import DynFOEngine
 from ..dynfo.requests import Request
-from ..logic import plan as plan_module
-from ..logic.relational import RelationalEvaluator
 from ..programs import PROGRAM_FACTORIES
 from ..programs.dyck import make_dyck_program
 from ..workloads import number_bit_script, undirected_script
@@ -128,20 +126,18 @@ def measure_per_request(
     steps: int | None = None,
     seed: int = 11,
 ) -> dict:
-    """Per-update cost when every request recompiles its plans: the engine
-    runs through a callable factory (bypassing the program-level plan cache)
-    and the ad-hoc compile cache is cleared between requests."""
+    """Per-update cost when every request recompiles its plans: the
+    production pipeline with the engine's compiled rule map cleared before
+    each request."""
     factory, maker, default_n, default_steps = SUITE[name]
     n = default_n if n is None else n
     steps = default_steps if steps is None else steps
     program = factory()
-    engine = DynFOEngine(
-        program, n, backend=lambda s, p: RelationalEvaluator(s, p)
-    )
+    engine = DynFOEngine(program, n, backend="relational")
     script = maker(n, steps, seed)
     started = time.perf_counter_ns()
     for request in script:
-        plan_module._ADHOC_CACHE.clear()
+        engine.compiled._rules.clear()
         engine.apply(request)
     per_update_ns = (time.perf_counter_ns() - started) // max(1, len(script))
     return {

@@ -12,8 +12,13 @@ Three evaluation backends are available (see DESIGN.md E15):
 * ``"dense"`` — vectorized boolean tensors, a literal CRAM[1] simulation;
 * ``"naive"`` — brute-force reference semantics (small n only).
 
-A backend may also be any callable ``factory(structure, params) ->
-evaluator`` (e.g. :class:`~.faults.FaultyBackend` for chaos testing).
+Every backend runs the same update pipeline: each rule is compiled once
+per ``(backend, n)`` (:meth:`DynFOProgram.compile`) and each request runs
+the rule's temporaries and then each definition's Δ⁺/Δ⁻ items through the
+evaluator's ``execute``.  A backend may also be a wrapper: a callable
+``factory(structure, params, **kwargs) -> evaluator`` whose ``base``
+attribute names the backend whose compiled items it runs (e.g.
+:class:`~.faults.FaultyBackend` for chaos testing).
 
 ``apply`` is *transactional*: the request is validated up front
 (:class:`~.errors.RequestValidationError`), every primed relation, mirror
@@ -36,11 +41,9 @@ from time import monotonic_ns as _monotonic_ns
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..logic.dense import DenseEvaluator
-from ..logic.evaluation import EvaluationError, naive_query
+from ..logic.evaluation import EvaluationError, NaiveEvaluator
 from ..logic.relational import RelationalEvaluator
 from ..logic.structure import BatchUpdate, Structure, StructureError
-from ..logic.syntax import Formula, Lit, Term
-from ..logic.transform import substitute
 from .errors import (
     EngineError,
     IntegrityError,
@@ -48,7 +51,7 @@ from .errors import (
     UpdateError,
 )
 from .minimize import minimize_script
-from .program import DynFOProgram, Query, UpdateRule
+from .program import DynFOProgram, Query, UpdateRule, member_param
 from .requests import Delete, Insert, Operation, Request, SetConst
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,24 +64,10 @@ class UnsupportedRequest(RequestValidationError):
     """Raised when a program has no rule for the given request kind."""
 
 
-class _NaiveBackend:
-    """Adapter giving the naive evaluator the backend interface."""
-
-    def __init__(self, structure: Structure, params: Mapping[str, int]) -> None:
-        self.structure = structure
-        self.params = params
-
-    def rows(self, formula: Formula, frame: tuple[str, ...]) -> set[tuple[int, ...]]:
-        return naive_query(formula, self.structure, frame, self.params)
-
-    def truth(self, sentence: Formula) -> bool:
-        return bool(naive_query(sentence, self.structure, (), self.params))
-
-
 BACKENDS: dict[str, Callable[..., object]] = {
     "relational": RelationalEvaluator,
     "dense": DenseEvaluator,
-    "naive": _NaiveBackend,
+    "naive": NaiveEvaluator,
 }
 
 
@@ -94,44 +83,38 @@ class DynFOEngine:
         journal: "RequestJournal | None" = None,
         max_rows: int | None = None,
     ) -> None:
-        if isinstance(backend, str):
-            if backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {backend!r}; pick from {sorted(BACKENDS)}"
-                )
-            self.backend_name = backend
-            self._backend_factory = BACKENDS[backend]
-        else:
-            self.backend_name = getattr(
-                backend, "name", getattr(backend, "__name__", type(backend).__name__)
+        # a wrapper names the backend whose compiled items it runs
+        name = backend if isinstance(backend, str) else getattr(backend, "base", None)
+        if not isinstance(name, str) or name not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; pick from {sorted(BACKENDS)} "
+                "(a callable backend names one in its base attribute)"
             )
-            self._backend_factory = backend
-        # The optimized backends execute plans compiled once per program via
-        # DynFOProgram.compile; the naive backend and callable factories
-        # (chaos wrappers, custom evaluators) keep the per-request path.
-        self._use_plans = isinstance(backend, str) and backend in (
-            "relational",
-            "dense",
-        )
+        self.backend_name = name
+        self._backend = backend
+        self._backend_factory = BACKENDS[name] if isinstance(backend, str) else backend
+        # only the engine's own executors emit rows guaranteed in-arity and
+        # in-universe; rows from the naive reference and from wrappers are
+        # validated tuple by tuple at staging
+        self._trusted = isinstance(backend, str) and name != "naive"
         self.max_rows = max_rows
         if max_rows is not None:
-            if not self._use_plans:
+            if name == "naive":
                 raise ValueError(
                     "max_rows requires the relational or dense backend "
-                    f"(got {self.backend_name!r})"
+                    f"(got {name!r})"
                 )
             if max_rows <= 0:
                 raise ValueError(f"max_rows must be positive, got {max_rows}")
-        # The plan backends run each rule's one compiled plan set, binding
-        # the request's parameters at execute time, with indexed atom
-        # probes, and stage the Δ⁺/Δ⁻ rows as single-tuple edits.
-        self._compiled = program.compile(self.backend_name, n) if self._use_plans else None
+        # The program's plan cache for (backend, n): each rule is compiled
+        # once, and every request runs its items, binding the request's
+        # parameters at execute time, and stages the Δ⁺/Δ⁻ rows as
+        # single-tuple edits.
+        self.compiled = program.compile(name, n)
         # relation name -> (version, ndarray); patched in place after each
         # commit so the dense backend stops rebuilding every tensor per
         # request.
-        self._dense_cache: dict | None = (
-            {} if self.backend_name == "dense" and self._use_plans else None
-        )
+        self._dense_cache: dict | None = {} if name == "dense" else None
         self.program = program
         self.n = n
         self.structure = program.initial(n)
@@ -147,11 +130,9 @@ class DynFOEngine:
         self._audit_base = self.structure.copy()
         self._audit_log: list[Request] = []
         # work accounting for the last request.  tuples_written counts the
-        # rows the definitions' evaluations emitted (the "parallel work"
-        # measure of experiment E19): on the plan backends the rows of the
-        # Δ⁺/Δ⁻ plans, so it tracks tuples_added + tuples_removed; on the
-        # naive and callable backends, which evaluate whole new relations
-        # and diff them, the size of the new relations.
+        # rows the definitions' Δ⁺/Δ⁻ items emitted (the "parallel work"
+        # measure of experiment E19), so it tracks tuples_added +
+        # tuples_removed on every backend.
         self.last_update_stats: dict[str, int] = {
             "relations_redefined": 0,
             "tuples_written": 0,
@@ -190,23 +171,14 @@ class DynFOEngine:
         structure is untouched."""
         rule, params, mirror = self._dispatch(request)
         batch, stats = self._stage(request, rule, params, mirror)
-        if self._journal is not None:
-            journal = self._journal
-            # getattr: tests attach duck-typed journal shims without the flag
-            effects = (
-                batch.effects()
-                if getattr(journal, "record_effects", False)
-                else None
+        journal = self._journal
+        if journal is not None:
+            effects = batch.effects()
+            self._timed_execute(
+                "journal",
+                "append",
+                lambda: journal.append(self.requests_applied, request, effects),
             )
-            if effects is not None:
-                append = lambda: journal.append(  # noqa: E731
-                    self.requests_applied, request, effects=effects
-                )
-            else:
-                # positional-only call keeps duck-typed journal shims
-                # (tests, fault injectors) working without the new kwarg
-                append = lambda: journal.append(self.requests_applied, request)  # noqa: E731
-            self._timed_execute("journal", "append", append)
         patchable = (
             self._dense_cache_prepare(batch) if self._dense_cache is not None else None
         )
@@ -245,10 +217,8 @@ class DynFOEngine:
         temporary_tuples = 0
         try:
             # compiled once per (rule, backend, n), then a cache hit forever;
-            # the evaluator binds ``params`` when it executes the plans
-            compiled = (
-                None if self._compiled is None else self._compiled.rule_plans(rule)
-            )
+            # the evaluator binds ``params`` when it executes the items
+            compiled = self.compiled.rule_plans(rule)
             if rule.temporaries:
                 scratch_vocab = self.program.aux_vocabulary.extend(
                     relations=[(d.name, len(d.frame)) for d in rule.temporaries]
@@ -259,46 +229,24 @@ class DynFOEngine:
                 # relations in place, so borrowing is safe
                 source = self.structure.expand(scratch_vocab, borrow=True)
                 scratch_eval = self._make_evaluator(source, params)
-                if compiled is not None:
-                    for name, plan in compiled.temporaries:
-                        rows = self._timed_execute(
-                            "temporary", name, lambda: scratch_eval.execute(plan)
-                        )
-                        temporary_tuples += len(rows)
-                        source.set_relation(name, rows)
-                else:
-                    for temp in rule.temporaries:
-                        rows = self._timed_execute(
-                            "temporary",
-                            temp.name,
-                            lambda: scratch_eval.rows(temp.formula, temp.frame),
-                        )
-                        temporary_tuples += len(rows)
-                        source.set_relation(temp.name, rows)
+                for name, plan in compiled.temporaries:
+                    rows = self._timed_execute(
+                        "temporary", name, lambda: scratch_eval.execute(plan)
+                    )
+                    temporary_tuples += len(rows)
+                    source.set_relation(name, rows)
             evaluator = self._make_evaluator(source, params)
-            # name -> (tuples added, tuples removed)
+            # name -> (tuples added, tuples removed): each definition's
+            # change straight from its Δ⁺ and Δ⁻ items, nothing to diff
             changes: dict[str, tuple[set[tuple[int, ...]], set[tuple[int, ...]]]] = {}
             written = 0
-            if compiled is not None:
-                # the plan backends evaluate each definition's change
-                # directly: its Δ⁺ and Δ⁻ plans, nothing to diff
-                for name, plus, minus in compiled.definitions:
-                    changes[name] = self._timed_execute(
-                        "definition",
-                        name,
-                        lambda: (evaluator.execute(plus), evaluator.execute(minus)),
-                    )
-                    written += len(changes[name][0]) + len(changes[name][1])
-            else:
-                for definition in rule.definitions:
-                    rows = self._timed_execute(
-                        "definition",
-                        definition.name,
-                        lambda: evaluator.rows(definition.formula, definition.frame),
-                    )
-                    current = self.structure.relation_view(definition.name)
-                    changes[definition.name] = (rows - current, current - rows)
-                    written += len(rows)
+            for name, plus, minus in compiled.definitions:
+                changes[name] = self._timed_execute(
+                    "definition",
+                    name,
+                    lambda: (evaluator.execute(plus), evaluator.execute(minus)),
+                )
+                written += len(changes[name][0]) + len(changes[name][1])
         except EngineError:
             raise
         except Exception as error:
@@ -311,10 +259,7 @@ class DynFOEngine:
         tuples_removed = 0
         try:
             for name, (added, removed) in changes.items():
-                # our own plan evaluators only emit in-arity, in-universe
-                # rows, so their changes skip per-tuple re-validation; rows
-                # from the naive and custom callable backends are checked
-                if compiled is not None:
+                if self._trusted:
                     batch.stage_edits_trusted("add", name, sorted(added))
                     batch.stage_edits_trusted("discard", name, sorted(removed))
                 else:
@@ -361,18 +306,13 @@ class DynFOEngine:
     def _make_evaluator(self, structure: Structure, params: Mapping[str, int]):
         """A backend evaluator over ``structure``, honouring the engine's
         materialization budget (``max_rows``) and, on the dense backend, the
-        relation-tensor cache."""
-        if not self._use_plans:
-            return self._backend_factory(structure, params)
+        relation-tensor cache; a wrapper receives the same arguments."""
         kwargs: dict = {}
-        if self.backend_name == "relational":
-            if self.max_rows is not None:
-                kwargs["max_rows"] = self.max_rows
-        else:
-            if self.max_rows is not None:
-                kwargs["max_cells"] = self.max_rows
-            if self._dense_cache is not None:
-                kwargs["array_cache"] = self._dense_cache
+        if self.max_rows is not None:
+            budget = "max_rows" if self.backend_name == "relational" else "max_cells"
+            kwargs[budget] = self.max_rows
+        if self._dense_cache is not None:
+            kwargs["array_cache"] = self._dense_cache
         return self._backend_factory(structure, params, **kwargs)
 
     def _dense_cache_prepare(self, batch: BatchUpdate) -> set[str]:
@@ -526,18 +466,14 @@ class DynFOEngine:
 
     # -- integrity auditing ------------------------------------------------------
 
-    def _pristine_factory(self) -> Callable[..., object]:
-        """The configured backend with any fault wrapper stripped."""
-        return getattr(self._backend_factory, "base", self._backend_factory)
-
-    def _subject_factory(self) -> Callable[..., object]:
+    def _subject_backend(self) -> str | Callable[..., object]:
         """A deterministic fresh copy of the configured backend (fault
         counters reset), for replaying the engine's own behaviour."""
-        fresh = getattr(self._backend_factory, "fresh", None)
-        return fresh() if callable(fresh) else self._backend_factory
+        fresh = getattr(self._backend, "fresh", None)
+        return fresh() if callable(fresh) else self._backend
 
-    def _replay(self, script, factory) -> "DynFOEngine":
-        clone = DynFOEngine(self.program, self.n, backend=factory)
+    def _replay(self, script, backend) -> "DynFOEngine":
+        clone = DynFOEngine(self.program, self.n, backend=backend)
         clone.structure = self._audit_base.copy()
         for request in script:
             clone.apply(request)
@@ -568,15 +504,17 @@ class DynFOEngine:
                 "its request log when auditing is enabled)"
             )
         script = tuple(self._audit_log)
-        reference = self._replay(script, self._pristine_factory())
+        # the reference replays by base name: the production pipeline,
+        # with any wrapper stripped
+        reference = self._replay(script, self.backend_name)
         if reference.structure == self.structure:
             return
         detail = self._divergence_detail(reference.structure)
 
         def diverges(candidate) -> bool:
             try:
-                subject = self._replay(candidate, self._subject_factory())
-                pristine = self._replay(candidate, self._pristine_factory())
+                subject = self._replay(candidate, self._subject_backend())
+                pristine = self._replay(candidate, self.backend_name)
             except EngineError:
                 # a subscript on which the faulty backend aborts the update
                 # still witnesses the divergence
@@ -631,13 +569,7 @@ class DynFOEngine:
         """Evaluate a named query, returning its relation over its frame."""
         query = self._get_query(name)
         bound = self._bind(name, query.params, params)
-        evaluator = self._make_evaluator(self.structure, bound)
-        if self._compiled is not None:
-            plan = self._compiled.query_plan(query)
-            return self._budgeted(name, lambda: evaluator.execute(plan))
-        return self._budgeted(
-            name, lambda: evaluator.rows(query.formula, query.frame)
-        )
+        return self._run(name, self.compiled.query_plan(query), bound)
 
     def ask(self, name: str, **params: int) -> bool:
         """Evaluate a boolean query (empty frame)."""
@@ -645,18 +577,16 @@ class DynFOEngine:
         if query.frame:
             raise ValueError(f"query {name!r} returns a relation; use query()")
         bound = self._bind(name, query.params, params)
-        evaluator = self._make_evaluator(self.structure, bound)
-        if self._compiled is not None:
-            plan = self._compiled.query_plan(query)
-            return bool(self._budgeted(name, lambda: evaluator.execute(plan)))
-        return self._budgeted(name, lambda: evaluator.truth(query.formula))
+        return bool(self._run(name, self.compiled.query_plan(query), bound))
 
-    @staticmethod
-    def _budgeted(name: str, evaluate):
-        """Run a query evaluation, turning a blown materialization budget
-        (``max_rows``) into a typed :class:`EngineError`."""
+    def _run(
+        self, name: str, plan, params: Mapping[str, int]
+    ) -> set[tuple[int, ...]]:
+        """Execute query ``name``'s compiled ``plan`` with ``params`` bound,
+        turning a blown materialization budget (``max_rows``) into a typed
+        :class:`EngineError`."""
         try:
-            return evaluate()
+            return self._make_evaluator(self.structure, params).execute(plan)
         except EvaluationError as error:
             raise EngineError(
                 f"query {name!r} exceeded the evaluation budget: {error}"
@@ -667,25 +597,19 @@ class DynFOEngine:
 
         ``misses`` counts plan compilations — exactly one per distinct
         (rule or query, backend, n) no matter how many requests ran.  Engines
-        sharing a program instance share the cache and its counters.  All
-        zeros for the naive backend and callable factories, which keep the
-        per-request evaluation path.  Safe under concurrent readers: the
-        counters are snapshotted atomically under the cache's lock."""
-        if self._compiled is None:
-            return {"hits": 0, "misses": 0, "compile_ns": 0}
-        return self._compiled.stats()
+        sharing a program instance share the cache and its counters.  Safe
+        under concurrent readers: the counters are snapshotted atomically
+        under the cache's lock."""
+        return self.compiled.stats()
 
     def plans_for(self, request: Request):
         """The plans an accepted ``request`` would execute, without applying
         it: ``(rule, params, compiled)`` where ``compiled`` is the rule's
         :class:`~.program.CompiledRule` (temporaries, then each definition's
-        Δ⁺/Δ⁻ plans), shared by every request of that rule — or ``None`` on
-        the naive and callable backends, which evaluate formulas.  Used by
-        the slowlog to render what ran."""
+        Δ⁺/Δ⁻), shared by every request of that rule.  Used by the slowlog
+        to render what ran."""
         rule, params, _ = self._dispatch(request)
-        if self._compiled is None:
-            return rule, params, None
-        return rule, params, self._compiled.rule_plans(rule)
+        return rule, params, self.compiled.rule_plans(rule)
 
     def apply_effects(self, request: Request, effects: Mapping) -> None:
         """Replay a journaled effect record physically: validate the request
@@ -723,17 +647,16 @@ class DynFOEngine:
                 self.audit()
 
     def holds_in(self, name: str, *tup: int) -> bool:
-        """Membership test against a relational query's result."""
+        """Membership test against a relational query's result: one
+        compiled plan per query, with ``tup`` bound as its parameters."""
         query = self._get_query(name)
         if len(tup) != len(query.frame):
             raise ValueError(
                 f"query {name!r} has frame {query.frame}, got {len(tup)} args"
             )
         bound = self._bind(name, query.frame, dict(zip(query.frame, tup)))
-        mapping: dict[str, Term] = {var: Lit(value) for var, value in bound.items()}
-        ground = substitute(query.formula, mapping)
-        evaluator = self._make_evaluator(self.structure, {})
-        return self._budgeted(name, lambda: evaluator.truth(ground))
+        params = {member_param(var): value for var, value in bound.items()}
+        return bool(self._run(name, self.compiled.membership_plan(query), params))
 
     # -- introspection -----------------------------------------------------------
 

@@ -4,8 +4,9 @@ The literature shows maintained auxiliary relations are genuinely easy to
 get wrong (Zeume & Schwentick 2013; Datta et al. 2015), and Definition 3.1
 makes the auxiliary structure the *only* state a run has — so the engine's
 atomicity and auditing guarantees deserve adversarial tests, not just happy
-paths.  :class:`FaultyBackend` wraps any evaluation backend and misbehaves
-at a chosen evaluation position:
+paths.  :class:`FaultyBackend` wraps an evaluation backend — it runs that
+backend's compiled items, so the sabotaged pipeline is the production one —
+and misbehaves at a chosen evaluation position:
 
 * ``"raise"`` — throw :class:`InjectedFault` (the transactional apply must
   leave the auxiliary structure untouched);
@@ -16,20 +17,20 @@ at a chosen evaluation position:
 * ``"corrupt_oob"`` — emit an out-of-universe tuple (the staging layer must
   reject the whole update with :class:`~.errors.UpdateError`).
 
-Faults are seeded and keyed to the k-th ``rows()``/``truth()`` evaluation,
-so a failing run is exactly reproducible: ``fresh()`` returns a copy with
-the evaluation counter reset, which is how the engine's audit replays its
-own (faulty) behaviour while delta-debugging a repro script.
+Faults are seeded and keyed to the k-th ``execute()`` call — one per
+temporary, per Δ⁺/Δ⁻ item, and per query — so a failing run is exactly
+reproducible: ``fresh()`` returns a copy with the evaluation counter reset,
+which is how the engine's audit replays its own (faulty) behaviour while
+delta-debugging a repro script.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ..logic.structure import Structure
-from ..logic.syntax import Formula
 from .engine import BACKENDS
 
 __all__ = ["FaultPlan", "FaultyBackend", "InjectedFault"]
@@ -45,9 +46,9 @@ class InjectedFault(RuntimeError):
 class FaultPlan:
     """What to break and when.
 
-    ``at`` is the 1-based index of the evaluation to sabotage, counted
-    across the backend factory's lifetime; ``count`` is how many rows to
-    drop/corrupt; ``seed`` drives the row choice.
+    ``at`` is the 1-based index of the ``execute()`` call to sabotage,
+    counted across the backend factory's lifetime; ``count`` is how many
+    rows to drop/corrupt; ``seed`` drives the row choice.
     """
 
     kind: str
@@ -65,7 +66,7 @@ class FaultPlan:
 
 
 class FaultyBackend:
-    """A backend factory that sabotages the ``plan.at``-th evaluation.
+    """A backend factory that sabotages the ``plan.at``-th ``execute()``.
 
     Drop-in for the engine's ``backend=`` argument:
 
@@ -73,34 +74,34 @@ class FaultyBackend:
     ...                      backend=FaultyBackend("relational",
     ...                                            FaultPlan("raise", at=3)))
 
-    ``base`` (the unwrapped factory) and ``fresh()`` (a reset copy) are the
-    hooks the engine's audit uses for pristine and subject replays.
+    ``base`` names the wrapped backend: the engine runs that backend's
+    compiled items through this wrapper, with the same evaluator arguments,
+    and its audit replays by that name for the pristine reference.
+    ``fresh()`` (a reset copy) is the audit's subject replay.
     """
 
     def __init__(
         self,
-        base: str | Callable[..., object] = "relational",
+        base: str = "relational",
         plan: FaultPlan = FaultPlan("raise", at=1),
     ) -> None:
-        if isinstance(base, str):
-            if base not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {base!r}; pick from {sorted(BACKENDS)}"
-                )
-            base = BACKENDS[base]
+        if base not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {base!r}; pick from {sorted(BACKENDS)}"
+            )
         self.base = base
         self.plan = plan
         self.evaluations = 0
         self.faults_fired = 0
-        self.name = f"faulty[{plan.kind}@{plan.at}]"
 
     def fresh(self) -> "FaultyBackend":
         """A copy with the evaluation counter reset — same deterministic
         misbehaviour on a fresh run."""
         return FaultyBackend(self.base, self.plan)
 
-    def __call__(self, structure: Structure, params: Mapping[str, int]):
-        return _FaultyEvaluator(self, self.base(structure, params), structure.n)
+    def __call__(self, structure: Structure, params: Mapping[str, int], **kwargs):
+        inner = BACKENDS[self.base](structure, params, **kwargs)
+        return _FaultyEvaluator(self, inner, structure.n)
 
     # -- the sabotage itself -------------------------------------------------
 
@@ -142,22 +143,9 @@ class _FaultyEvaluator:
         self._inner = inner
         self._n = n
 
-    def rows(self, formula: Formula, frame: tuple[str, ...]) -> set[tuple[int, ...]]:
+    def execute(self, plan) -> set[tuple[int, ...]]:
         fire = self._owner._tick()
-        rows = self._inner.rows(formula, frame)
+        rows = self._inner.execute(plan)
         if fire:
             rows = self._owner._sabotage_rows(rows, self._n)
         return rows
-
-    def truth(self, sentence: Formula) -> bool:
-        fire = self._owner._tick()
-        value = self._inner.truth(sentence)
-        if fire:
-            if self._owner.plan.kind == "raise":
-                self._owner.faults_fired += 1
-                raise InjectedFault(
-                    f"injected fault at evaluation {self._owner.plan.at}"
-                )
-            self._owner.faults_fired += 1
-            value = not value
-        return value

@@ -6,8 +6,9 @@ fancier than an fsync'd log of accepted requests: after a crash,
 ``snapshot + journal tail`` replays to exactly the state an uninterrupted
 run would have reached.
 
-The journal is one JSON object per line — ``{"seq": k, "req": {...}}`` with
-``seq`` the 0-based index of the request in the run — appended *before* the
+The journal is one JSON object per line — ``{"seq": k, "req": {...},
+"fx": {...}}`` with ``seq`` the 0-based index of the request in the run and
+``fx`` its committed state transition — appended *before* the
 engine commits the corresponding batch (classic WAL ordering) and fsync'd
 so an acknowledged request survives power loss.  :func:`recover` tolerates
 a torn final line (a crash mid-append) but treats corruption anywhere else
@@ -22,17 +23,15 @@ is the usual one: never acknowledge a request to its submitter until a
 ``sync()`` covering its append has returned.  ``fsync_count`` /
 ``append_count`` expose how well the amortization is working.
 
-Effect records (PR 5): a journal opened with ``record_effects=True`` asks
-the engine to attach each request's committed state transition —
-:meth:`~repro.logic.structure.BatchUpdate.effects` — under an ``"fx"`` key.
-That is the handful of tuples the update actually changed, so journal
-bytes per update scale with the delta rather than with |aux|, and
-:func:`recover` can replay the record *physically* (apply the recorded
-transition, no formula re-evaluation) instead of logically.  Journals of
-earlier engines may carry whole redefined relations under ``"set"``; they
-replay physically too.  Journals without effects (and mixed journals: any
-record missing ``"fx"``) still recover via logical replay; readers ignore
-unknown keys, so the two formats interoperate both ways.
+Effect records: every append carries the request's committed state
+transition — :meth:`~repro.logic.structure.BatchUpdate.effects` — under
+``"fx"``.  That is the handful of tuples the update actually changed, so
+journal bytes per update scale with the delta rather than with |aux|, and
+:func:`recover` replays the record *physically* (apply the recorded
+transition, no formula re-evaluation).  Journals of earlier engines may
+carry whole redefined relations under ``"set"``; they replay physically
+too.  Records without ``"fx"`` (older journals, whole or mixed) still
+recover via logical replay.
 """
 
 from __future__ import annotations
@@ -53,29 +52,21 @@ __all__ = ["RequestJournal", "read_journal", "read_journal_entries", "recover"]
 class RequestJournal:
     """Append-only, fsync'd request log attached to a running engine."""
 
-    def __init__(
-        self, path: str | Path, fsync: bool = True, record_effects: bool = False
-    ) -> None:
+    def __init__(self, path: str | Path, fsync: bool = True) -> None:
         self.path = Path(path)
         self._fsync = fsync
-        #: ask the engine to attach committed effects to every append; read
-        #: by DynFOEngine.apply before it calls append()
-        self.record_effects = record_effects
         self._fh = open(self.path, "a", encoding="utf-8")
         self.append_count = 0
         self.fsync_count = 0
         self.bytes_written = 0
 
-    def append(self, seq: int, request: Request, effects: dict | None = None) -> None:
-        """Record that request ``seq`` was accepted; durable immediately
-        under the default per-append fsync policy, at the next :meth:`sync`
-        otherwise.  ``effects`` (when given) rides along under ``"fx"`` —
-        the committed state transition, enabling physical replay."""
+    def append(self, seq: int, request: Request, effects: dict) -> None:
+        """Record that request ``seq`` was accepted with the committed state
+        transition ``effects``; durable immediately under the default
+        per-append fsync policy, at the next :meth:`sync` otherwise."""
         if self._fh.closed:
             raise JournalError(f"journal {self.path} is closed")
-        item: dict = {"seq": seq, "req": request_to_item(request)}
-        if effects is not None:
-            item["fx"] = effects
+        item = {"seq": seq, "req": request_to_item(request), "fx": effects}
         line = json.dumps(item, separators=(",", ":"))
         self._fh.write(line + "\n")
         self._fh.flush()
@@ -114,8 +105,8 @@ def read_journal_entries(
     path: str | Path,
 ) -> list[tuple[int, Request, dict | None]]:
     """All (seq, request, effects) entries in the journal at ``path``;
-    ``effects`` is the record's ``"fx"`` payload, or ``None`` for plain
-    request-only records.
+    ``effects`` is the record's ``"fx"`` payload, or ``None`` for the
+    request-only records of older journals.
 
     A torn final line — the signature of a crash mid-append — is dropped;
     an undecodable line anywhere else raises :class:`JournalError`.
@@ -163,7 +154,6 @@ def recover(
     backend: str | None = None,
     audit_every: int = 0,
     attach: bool = True,
-    physical: bool = True,
 ) -> DynFOEngine:
     """Rebuild an engine after a crash: restore the snapshot (or the initial
     structure when there is none — ``n`` is then required), replay the
@@ -171,10 +161,10 @@ def recover(
     run continues appending where it left off.
 
     Records carrying effect payloads replay *physically* — the recorded
-    state transition is applied directly, skipping formula evaluation — which
-    both modes produce the same state by construction (the effects are what
-    the original ``apply`` committed).  ``physical=False`` forces logical
-    replay of every record regardless."""
+    state transition is applied directly, skipping formula evaluation —
+    and reach the state logical replay would, by construction (the effects
+    are what the original ``apply`` committed).  Records without effects,
+    from older journals, replay logically through :meth:`apply`."""
     if snapshot_path is not None and Path(snapshot_path).exists():
         engine = load_engine(program, snapshot_path, backend=backend)
         engine.audit_every = audit_every
@@ -194,7 +184,7 @@ def recover(
                 f"journal {journal_path} jumps to seq {seq} but the engine "
                 f"has applied {engine.requests_applied} requests"
             )
-        if physical and effects is not None:
+        if effects is not None:
             engine.apply_effects(request, effects)
         else:
             engine.apply(request)

@@ -22,15 +22,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..logic.plan import Plan, compile_formula, compile_formulas
+from ..logic.evaluation import FormulaItem
+from ..logic.plan import Plan, compile_formulas
 from ..logic.structure import Structure
-from ..logic.syntax import Formula
+from ..logic.syntax import Const, Formula
 from ..logic.transform import (
     connective_depth,
     constants_of,
     deltas,
     free_vars,
     quantifier_rank,
+    substitute,
 )
 from ..logic.vocabulary import Vocabulary
 
@@ -43,6 +45,7 @@ __all__ = [
     "CompiledRule",
     "ProgramError",
     "inline_temporaries",
+    "member_param",
 ]
 
 
@@ -117,28 +120,36 @@ def inline_temporaries(rule: UpdateRule) -> UpdateRule:
     return UpdateRule(params=rule.params, definitions=definitions)
 
 
+def member_param(var: str) -> str:
+    """The parameter standing for frame variable ``var`` in a query's
+    membership plan (``@`` keeps it apart from every program constant)."""
+    return "@" + var
+
+
 @dataclass(frozen=True)
 class CompiledRule:
-    """The physical plans of one :class:`UpdateRule`, in evaluation order:
-    the temporaries, then one ``(name, Δ⁺ plan, Δ⁻ plan)`` per simultaneous
-    definition — the tuples the update adds to and removes from ``name``
-    (see :func:`repro.logic.transform.deltas`), never the whole new
-    relation."""
+    """The compiled items of one :class:`UpdateRule`, in evaluation order:
+    the temporaries, then one ``(name, Δ⁺, Δ⁻)`` per simultaneous
+    definition — the tuples the update adds to and removes from ``name``,
+    never the whole new relation.  On the plan backends the items are
+    physical plans of :func:`repro.logic.transform.deltas`; on the naive
+    reference they are :class:`~repro.logic.evaluation.FormulaItem` objects
+    that evaluate the definition's formula whole and diff it."""
 
-    temporaries: tuple[tuple[str, Plan], ...]
-    definitions: tuple[tuple[str, Plan, Plan], ...]
+    temporaries: tuple[tuple[str, Plan | FormulaItem], ...]
+    definitions: tuple[tuple[str, Plan | FormulaItem, Plan | FormulaItem], ...]
 
 
 class CompiledProgram:
     """Per-(backend, n) plan cache of a :class:`DynFOProgram`.
 
     A Dyn-FO program's update formulas are *fixed* — only the data changes —
-    so each rule is compiled into physical plans exactly once and every
-    subsequent request replays the cached plans.  Plans for update rules and
-    queries are compiled lazily on first use; :meth:`stats` proves the
-    compile-once property: across any request script, ``misses`` equals the
-    number of distinct rules and queries exercised, while every further
-    lookup is a ``hit``.
+    so each rule is compiled exactly once and every subsequent request
+    replays the cached items.  Items for update rules and queries are
+    compiled lazily on first use; :meth:`stats` proves the compile-once
+    property: across any request script, ``misses`` equals the number of
+    distinct rules and queries exercised, while every further lookup is a
+    ``hit``.
 
     Obtained via :meth:`DynFOProgram.compile`, which caches one instance per
     ``(backend, n)``, so the cache key for a plan is effectively
@@ -160,37 +171,60 @@ class CompiledProgram:
         self._distribute = backend != "dense"
         # id-keyed with the rule pinned so the id stays valid
         self._rules: dict[int, tuple[UpdateRule, CompiledRule]] = {}
-        self._queries: dict[str, Plan] = {}
+        # (query name, membership?) -> compiled item
+        self._queries: dict[tuple[str, bool], Plan | FormulaItem] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.compile_ns = 0
 
-    def rule_plans(self, rule: UpdateRule) -> CompiledRule:
-        """The compiled plans for ``rule`` — its temporaries and each
-        definition's Δ⁺/Δ⁻ — compiling on first request."""
+    def _lookup(self, cache: dict, key, compile_item):
+        """``cache[key]``, compiling it with ``compile_item()`` on a miss."""
         with self._lock:
-            entry = self._rules.get(id(rule))
+            entry = cache.get(key)
             if entry is not None:
                 self.hits += 1
-                return entry[1]
+                return entry
             self.misses += 1
             started = time.perf_counter_ns()
-            # one compiler for the whole rule: a subformula Δ⁺ and Δ⁻ (or
-            # two definitions) share becomes one plan node, run once
-            items = [(d.formula, d.frame) for d in rule.temporaries]
-            for d in rule.definitions:
-                items += [(delta, d.frame) for delta in deltas(d.name, d.frame, d.formula)]
-            plans = iter(compile_formulas(items, distribute=self._distribute))
-            compiled = CompiledRule(
-                temporaries=tuple((d.name, next(plans)) for d in rule.temporaries),
+            entry = cache[key] = compile_item()
+            self.compile_ns += time.perf_counter_ns() - started
+            return entry
+
+    def rule_plans(self, rule: UpdateRule) -> CompiledRule:
+        """The compiled items for ``rule`` — its temporaries and each
+        definition's Δ⁺/Δ⁻ — compiling on first request."""
+        return self._lookup(self._rules, id(rule), lambda: (rule, self._rule(rule)))[1]
+
+    def _rule(self, rule: UpdateRule) -> CompiledRule:
+        if self.backend == "naive":
+            # the reference stays independent of transform.deltas: it
+            # evaluates each φ whole and diffs it against the relation
+            return CompiledRule(
+                temporaries=tuple(
+                    (d.name, FormulaItem(d.formula, d.frame)) for d in rule.temporaries
+                ),
                 definitions=tuple(
-                    (d.name, next(plans), next(plans)) for d in rule.definitions
+                    (
+                        d.name,
+                        FormulaItem(d.formula, d.frame, d.name, "+"),
+                        FormulaItem(d.formula, d.frame, d.name, "-"),
+                    )
+                    for d in rule.definitions
                 ),
             )
-            self.compile_ns += time.perf_counter_ns() - started
-            self._rules[id(rule)] = (rule, compiled)
-            return compiled
+        # one compiler for the whole rule: a subformula Δ⁺ and Δ⁻ (or two
+        # definitions) share becomes one plan node, run once
+        items = [(d.formula, d.frame) for d in rule.temporaries]
+        for d in rule.definitions:
+            items += [(delta, d.frame) for delta in deltas(d.name, d.frame, d.formula)]
+        plans = iter(compile_formulas(items, distribute=self._distribute))
+        return CompiledRule(
+            temporaries=tuple((d.name, next(plans)) for d in rule.temporaries),
+            definitions=tuple(
+                (d.name, next(plans), next(plans)) for d in rule.definitions
+            ),
+        )
 
     def specialized_rule_plans(
         self, rule: UpdateRule, params: Mapping[str, int]
@@ -200,21 +234,29 @@ class CompiledProgram:
         with ROADMAP item 3."""
         return self.rule_plans(rule)
 
-    def query_plan(self, query: "Query") -> Plan:
-        """The compiled plan for a named query, compiling on first request."""
-        with self._lock:
-            plan = self._queries.get(query.name)
-            if plan is not None:
-                self.hits += 1
-                return plan
-            self.misses += 1
-            started = time.perf_counter_ns()
-            plan = compile_formula(
-                query.formula, query.frame, distribute=self._distribute
-            )
-            self.compile_ns += time.perf_counter_ns() - started
-            self._queries[query.name] = plan
-            return plan
+    def _formula(self, formula: Formula, frame: tuple[str, ...]) -> Plan | FormulaItem:
+        if self.backend == "naive":
+            return FormulaItem(formula, frame)
+        return compile_formulas([(formula, frame)], distribute=self._distribute)[0]
+
+    def query_plan(self, query: "Query") -> Plan | FormulaItem:
+        """The compiled item for a named query, compiling on first request."""
+        return self._lookup(
+            self._queries,
+            (query.name, False),
+            lambda: self._formula(query.formula, query.frame),
+        )
+
+    def membership_plan(self, query: "Query") -> Plan | FormulaItem:
+        """The compiled sentence testing one tuple of ``query``'s result:
+        each frame variable ``x`` becomes the parameter ``member_param(x)``,
+        bound at execute time, so every membership test shares one plan."""
+        mapping = {var: Const(member_param(var)) for var in query.frame}
+        return self._lookup(
+            self._queries,
+            (query.name, True),
+            lambda: self._formula(substitute(query.formula, mapping), ()),
+        )
 
     def stats(self) -> dict[str, int]:
         """Cache counters: ``hits``, ``misses``, and total ``compile_ns``,

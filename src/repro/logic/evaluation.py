@@ -4,13 +4,14 @@ This module is the *semantics* of the logic.  The optimized engines in
 :mod:`repro.logic.relational` and :mod:`repro.logic.dense` are tested against
 it.  ``holds`` runs in time ``O(n^{quantifier rank} * size)`` by brute-force
 assignment enumeration, which is fine for the small structures used in
-property tests, and as the per-row filter inside the relational engine where
-all variables are already bound.
+property tests and by the engine's ``"naive"`` reference backend
+(:class:`NaiveEvaluator`).
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Mapping
 
 from .structure import Structure, StructureError
@@ -36,7 +37,14 @@ from .syntax import (
     Var,
 )
 
-__all__ = ["holds", "eval_term", "naive_query", "EvaluationError"]
+__all__ = [
+    "holds",
+    "eval_term",
+    "naive_query",
+    "EvaluationError",
+    "FormulaItem",
+    "NaiveEvaluator",
+]
 
 
 class EvaluationError(ValueError):
@@ -176,3 +184,42 @@ def naive_query(
         if _holds(formula, structure, assignment, params or {}):
             result.add(values)
     return result
+
+
+@dataclass(frozen=True, eq=False)
+class FormulaItem:
+    """The naive backend's compiled item: ``formula`` over ``frame``,
+    evaluated whole.  With ``delta`` ``"+"`` or ``"-"`` it answers the
+    change of the definition ``name(frame) <-> formula``: ``formula - name``
+    or ``name - formula``, straight from the FO semantics."""
+
+    formula: Formula
+    frame: tuple[str, ...]
+    name: str = ""
+    delta: str = ""
+
+
+class NaiveEvaluator:
+    """The reference backend: runs :class:`FormulaItem` objects by
+    brute-force enumeration against one fixed structure (and params).
+    Each formula is evaluated once per evaluator, so a definition's Δ⁺ and
+    Δ⁻ items share one evaluation of its formula."""
+
+    def __init__(
+        self, structure: Structure, params: Mapping[str, int] | None = None
+    ) -> None:
+        self.structure = structure
+        self.params = dict(params) if params else {}
+        # id-keyed; the items pin their formulas for the evaluator's lifetime
+        self._whole: dict[tuple[int, tuple[str, ...]], set[tuple[int, ...]]] = {}
+
+    def execute(self, item: FormulaItem) -> set[tuple[int, ...]]:
+        key = (id(item.formula), item.frame)
+        rows = self._whole.get(key)
+        if rows is None:
+            rows = naive_query(item.formula, self.structure, item.frame, self.params)
+            self._whole[key] = rows
+        if not item.delta:
+            return set(rows)
+        current = self.structure.relation_view(item.name)
+        return rows - current if item.delta == "+" else current - rows

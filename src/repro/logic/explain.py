@@ -77,6 +77,8 @@ def render_plan(plan: Plan, max_nodes: int = 400) -> str:
     update by the executors) are printed in full the first time and
     referenced as ``= #k`` afterwards.
     """
+    if not isinstance(plan, Plan):  # the naive reference's FormulaItem
+        return f"naive enumeration of {plan.formula} over ({', '.join(plan.frame)})"
     nodes = plan_nodes(plan)
     widest = max(len(node.columns) for node in nodes)
     lines = [

@@ -191,9 +191,6 @@ class Filter(Plan):
     condition: Plan = None  # type: ignore[assignment]
     negated: bool = False
     positions: tuple[int, ...] = ()
-    #: the original conjunct, for executors that keep a per-row fallback when
-    #: materializing the condition trips their size guard
-    fallback: Formula | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -572,7 +569,6 @@ class _Compiler:
         return cur
 
     def _make_filter(self, source: Plan, conjunct: Formula) -> Plan:
-        original = conjunct
         negated = False
         while isinstance(conjunct, Not):
             negated = not negated
@@ -608,7 +604,6 @@ class _Compiler:
             condition=condition,
             negated=negated,
             positions=positions,
-            fallback=original,
             label="filter ~" if negated else "filter",
         )
 

@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping
 
-from .evaluation import EvaluationError, eval_term, holds
+from .evaluation import EvaluationError, eval_term
 from .plan import (
     AtomScan,
     CompareScan,
@@ -417,24 +417,7 @@ class RelationalEvaluator:
         source = self._exec(plan.source)
         if not source.rows:
             return source
-        try:
-            condition = self._exec(plan.condition)
-        except EvaluationError:
-            if plan.fallback is None:
-                raise
-            # the condition's shape is too hostile to materialize under the
-            # size guard; test per row via the reference oracle instead
-            out_rows = {
-                row
-                for row in source.rows
-                if holds(
-                    plan.fallback,
-                    self.structure,
-                    dict(zip(source.vars, row)),
-                    self.params,
-                )
-            }
-            return Relation(plan.columns, out_rows)
+        condition = self._exec(plan.condition)
         if not condition.vars:
             # boolean guard, evaluated once: keep all rows or none
             satisfied = bool(condition.rows) != plan.negated

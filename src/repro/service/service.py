@@ -132,35 +132,19 @@ class DynFOService:
             self.metrics.record_slow()
 
     def _render_slow_plan(self, item: dict) -> str | None:
-        """The compiled physical plan behind a slow request — the rule the
-        write dispatched to, or the query it evaluated — as ``render_plan``
+        """The compiled plan behind a slow request — the plans the engine
+        ran for the write's rule, or for the query — as ``render_plan``
         text.  Best effort: never raises into the response path."""
         try:
             from ..logic.explain import render_plan, render_rule_plans
-            from ..logic.plan import compile_formula
 
             op = item.get("op")
-            session = self.sessions.get(item["session"])
-            program = session.engine.program
-            distribute = session.backend_name != "dense"
-
-            def render_definitions(owner: str, definitions) -> list[str]:
-                parts = []
-                for definition in definitions:
-                    frame = ", ".join(definition.frame)
-                    plan = compile_formula(
-                        definition.formula, definition.frame, distribute=distribute
-                    )
-                    parts.append(
-                        f"{owner} :: {definition.name}({frame})\n{render_plan(plan)}"
-                    )
-                return parts
-
+            engine = self.sessions.get(item["session"]).engine
             if op in ("query", "ask"):
-                query = program.queries.get(item.get("name"))
+                query = engine.program.queries.get(item.get("name"))
                 if query is None:
                     return None
-                return "\n".join(render_definitions("query", [query]))
+                return render_plan(engine.compiled.query_plan(query))
             if op in ("apply", "apply_script"):
                 if op == "apply":
                     request = request_from_item(item.get("request"))
@@ -169,17 +153,9 @@ class DynFOService:
                     if not script:
                         return None
                     request = request_from_item(script[0])
-                # the plans that ran: the rule's Δ plans on the plan
-                # backends; the naive and callable backends evaluate the
-                # definitions whole.  Raises (no plan) for a request the
-                # engine rejects.
-                rule, _, compiled = session.engine.plans_for(request)
-                if compiled is not None:
-                    parts = render_rule_plans(str(request), rule, compiled)
-                else:
-                    parts = render_definitions(f"{request} [temp]", rule.temporaries)
-                    parts += render_definitions(str(request), rule.definitions)
-                return "\n".join(parts)
+                # raises (no plan) for a request the engine rejects
+                rule, _, compiled = engine.plans_for(request)
+                return "\n".join(render_rule_plans(str(request), rule, compiled))
         except Exception:  # pragma: no cover - diagnostics must not raise
             return None
         return None

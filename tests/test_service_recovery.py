@@ -55,7 +55,7 @@ def test_mid_batch_kill_recovers_to_oracle_state(tmp_path):
     requests that were ACKed."""
     n = 8
     # sabotage one evaluation somewhere inside the batch commit (the script
-    # costs 30 evaluations total; 14 lands mid-way through request 5)
+    # costs 54 execute() calls; 14 lands in request 3 of 8)
     backend = FaultyBackend("relational", FaultPlan("raise", at=14))
     manager = SessionManager(data_dir=tmp_path)
     scheduler = Scheduler(max_batch=64)

@@ -23,10 +23,11 @@ def slow_backend(delay: float):
     """Every evaluation sleeps: requests through it reliably cross a small
     slow-log threshold."""
 
-    def factory(structure, params):
+    def factory(structure, params, **kwargs):
         time.sleep(delay)
-        return BACKENDS["relational"](structure, params)
+        return BACKENDS["relational"](structure, params, **kwargs)
 
+    factory.base = "relational"
     return factory
 
 
@@ -203,6 +204,29 @@ def test_slowlog_captures_slow_write_with_plan_and_spans():
         # ... and carries the offending rule's compiled plan
         assert "ins(E" in entry["plan"]
         assert entry["plan"].strip()
+    finally:
+        service.close(snapshot=False)
+
+
+@pytest.mark.parametrize("backend", ["relational", "dense"])
+def test_slowlog_renders_the_plans_the_engine_ran(backend):
+    """A slow read logs the engine's own compiled query plan, and a slow
+    write its rule's compiled plans — nothing recompiled on the side."""
+    from repro.logic.explain import render_plan, render_rule_plans
+
+    service = make_service(slowlog_ms=0.0)
+    try:
+        client = ServiceClient(service)
+        client.open("p", "reach_u", n=6, backend=backend)
+        client.apply("p", Insert("E", 0, 1))
+        client.ask("p", "reach", s=0, t=1)
+        engine = service.sessions.get("p").engine
+        by_op = {entry["op"]: entry for entry in client.slowlog()["entries"]}
+        query = engine.program.queries["reach"]
+        assert by_op["ask"]["plan"] == render_plan(engine.compiled.query_plan(query))
+        rule, _, compiled = engine.plans_for(Insert("E", 0, 1))
+        written = "\n".join(render_rule_plans(str(Insert("E", 0, 1)), rule, compiled))
+        assert by_op["apply"]["plan"] == written
     finally:
         service.close(snapshot=False)
 
