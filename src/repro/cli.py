@@ -11,8 +11,9 @@ Subcommands
 ``verify reach_u [--n 8] [--steps 120] [--seed 0] [--audit-every N] [--journal PATH] [--max-rows N]``
     Replay a randomized workload against the from-scratch oracle,
     optionally self-auditing the auxiliary structure, journaling every
-    request to a crash-safe write-ahead log, and/or capping the
-    materialization budget per update.
+    request to a crash-safe write-ahead log (then replaying it and
+    failing unless the replay reaches the live structure), and/or
+    capping the materialization budget per update.
 ``explain reach_u [--backend relational|dense] [--rule insert:E] [--query reach]``
     Print the compiled physical plans the engine caches and replays —
     the static view of what every update/query executes.
@@ -51,7 +52,7 @@ from .dynfo.oracles import (
     spanning_forest_checker,
     transitive_reduction_checker,
 )
-from .dynfo.journal import RequestJournal
+from .dynfo.journal import RequestJournal, recover
 from .dynfo.verify import exact_relation_checker, verify_program
 from .programs import PROGRAM_FACTORIES
 from .workloads import (
@@ -162,7 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     journal = RequestJournal(args.journal) if args.journal else None
     start = time.perf_counter()
     try:
-        verify_program(
+        harness = verify_program(
             program,
             args.n,
             script,
@@ -179,7 +180,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.audit_every:
         extras.append(f"integrity-audited every {args.audit_every} requests")
     if args.journal:
-        extras.append(f"journaled to {args.journal}")
+        replayed = recover(program, args.journal, n=args.n, attach=False)
+        if replayed.structure != harness.engine.structure:
+            print(f"{name}: the journal {args.journal} does not replay to the "
+                  "live structure (did it hold an earlier run?)", file=sys.stderr)
+            return 1
+        extras.append(f"journaled to {args.journal} and replayed to the same state")
     print(
         f"{name}: {len(script)} requests on n={args.n} verified against the "
         f"from-scratch oracle after every request ({elapsed:.1f}s)"
@@ -535,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="append every accepted request to a crash-safe write-ahead "
-        "journal at PATH",
+        "journal at PATH, then replay it and fail unless the replay reaches "
+        "the live structure",
     )
     verify.add_argument(
         "--max-rows",

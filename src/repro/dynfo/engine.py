@@ -71,6 +71,24 @@ BACKENDS: dict[str, Callable[..., object]] = {
 }
 
 
+def _update_stats(
+    changes: Mapping[str, tuple[set, set]], temporary_tuples: int = 0
+) -> dict[str, int]:
+    """A request's work accounting from its per-relation ``(added,
+    removed)`` change.  ``tuples_written`` counts the rows the Δ⁺/Δ⁻ items
+    emitted (the "parallel work" measure of experiment E19), which is
+    ``tuples_added + tuples_removed`` on every backend."""
+    added = sum(len(plus) for plus, _ in changes.values())
+    removed = sum(len(minus) for _, minus in changes.values())
+    return {
+        "relations_redefined": len(changes),
+        "tuples_written": added + removed,
+        "temporary_tuples": temporary_tuples,
+        "tuples_added": added,
+        "tuples_removed": removed,
+    }
+
+
 class DynFOEngine:
     """Runs one :class:`DynFOProgram` at a fixed universe size ``n``."""
 
@@ -108,8 +126,8 @@ class DynFOEngine:
                 raise ValueError(f"max_rows must be positive, got {max_rows}")
         # The program's plan cache for (backend, n): each rule is compiled
         # once, and every request runs its items, binding the request's
-        # parameters at execute time, and stages the Δ⁺/Δ⁻ rows as
-        # single-tuple edits.
+        # parameters at execute time, and stages the Δ⁺/Δ⁻ rows as each
+        # relation's (added, removed) pair.
         self.compiled = program.compile(name, n)
         # relation name -> (version, ndarray); patched in place after each
         # commit so the dense backend stops rebuilding every tensor per
@@ -129,17 +147,8 @@ class DynFOEngine:
         # structure, or the snapshot an engine was restored from)
         self._audit_base = self.structure.copy()
         self._audit_log: list[Request] = []
-        # work accounting for the last request.  tuples_written counts the
-        # rows the definitions' Δ⁺/Δ⁻ items emitted (the "parallel work"
-        # measure of experiment E19), so it tracks tuples_added +
-        # tuples_removed on every backend.
-        self.last_update_stats: dict[str, int] = {
-            "relations_redefined": 0,
-            "tuples_written": 0,
-            "temporary_tuples": 0,
-            "tuples_added": 0,
-            "tuples_removed": 0,
-        }
+        # work accounting for the last request (see _update_stats)
+        self.last_update_stats = _update_stats({})
         # observability hook: when set, called as hook(kind, name, ns) for
         # every temporary/primed-relation evaluation and journal append of
         # an apply.  None (the default) costs one load-and-test per
@@ -179,6 +188,13 @@ class DynFOEngine:
                 "append",
                 lambda: journal.append(self.requests_applied, request, effects),
             )
+        self._commit(request, batch, stats)
+
+    def _commit(
+        self, request: Request, batch: BatchUpdate, stats: dict[str, int]
+    ) -> None:
+        """The commit tail :meth:`apply` and :meth:`apply_effects` share:
+        commit (patching the dense cache), then stats, counter and audit."""
         patchable = (
             self._dense_cache_prepare(batch) if self._dense_cache is not None else None
         )
@@ -239,14 +255,12 @@ class DynFOEngine:
             # name -> (tuples added, tuples removed): each definition's
             # change straight from its Δ⁺ and Δ⁻ items, nothing to diff
             changes: dict[str, tuple[set[tuple[int, ...]], set[tuple[int, ...]]]] = {}
-            written = 0
             for name, plus, minus in compiled.definitions:
                 changes[name] = self._timed_execute(
                     "definition",
                     name,
                     lambda: (evaluator.execute(plus), evaluator.execute(minus)),
                 )
-                written += len(changes[name][0]) + len(changes[name][1])
         except EngineError:
             raise
         except Exception as error:
@@ -255,20 +269,16 @@ class DynFOEngine:
             ) from error
         batch = self.structure.begin_batch()
         defined = rule.defined_names()
-        tuples_added = 0
-        tuples_removed = 0
         try:
             for name, (added, removed) in changes.items():
                 if self._trusted:
-                    batch.stage_edits_trusted("add", name, sorted(added))
-                    batch.stage_edits_trusted("discard", name, sorted(removed))
+                    batch.stage_edits_trusted("add", name, added)
+                    batch.stage_edits_trusted("discard", name, removed)
                 else:
-                    for tup in sorted(added):
+                    for tup in added:
                         batch.add(name, tup)
-                    for tup in sorted(removed):
+                    for tup in removed:
                         batch.discard(name, tup)
-                tuples_added += len(added)
-                tuples_removed += len(removed)
             if mirror is not None and mirror[1] not in defined:
                 # default maintenance of the input relation's auxiliary copy
                 kind, rel, tup = mirror
@@ -294,14 +304,7 @@ class DynFOEngine:
             raise UpdateError(
                 f"staging the update for {request} was rejected: {error}"
             ) from error
-        stats = {
-            "relations_redefined": len(changes),
-            "tuples_written": written,
-            "temporary_tuples": temporary_tuples,
-            "tuples_added": tuples_added,
-            "tuples_removed": tuples_removed,
-        }
-        return batch, stats
+        return batch, _update_stats(changes, temporary_tuples)
 
     def _make_evaluator(self, structure: Structure, params: Mapping[str, int]):
         """A backend evaluator over ``structure``, honouring the engine's
@@ -318,35 +321,33 @@ class DynFOEngine:
     def _dense_cache_prepare(self, batch: BatchUpdate) -> set[str]:
         """Before commit: drop the batch's stale tensor-cache entries, and
         return the relations whose cached tensor is current and can be
-        patched in place after commit.  ``_stage`` stages only single-tuple
-        edits, so every change the batch makes is seen here."""
+        patched in place after commit.  Every change a batch makes is one
+        of its ``deltas``, so every changed relation is seen here."""
         cache = self._dense_cache
         patchable: set[str] = set()
-        for _, name, _ in batch.staged_edits:
+        for name in batch.deltas:
             entry = cache.get(name)
-            if entry is None or name in patchable:
+            if entry is None:
                 continue
             if entry[0] == self.structure.relation_version(name):
                 patchable.add(name)
             else:
-                cache.pop(name, None)  # stale entry; rebuild lazily instead
+                del cache[name]  # stale entry; rebuild lazily instead
         return patchable
 
     def _dense_cache_patch(self, batch: BatchUpdate, patchable: set[str]) -> None:
-        """After commit: apply the batch's single-tuple edits to the cached
-        tensors in place (one cell write per delta tuple — the dense
-        backend's slice-write path) and restamp them current."""
+        """After commit: write each patchable relation's Δ into its cached
+        tensor in place (one cell write per delta tuple — the dense
+        backend's slice-write path) and restamp it current."""
         cache = self._dense_cache
-        for kind, name, tup in batch.staged_edits:
-            if name not in patchable:
-                continue
-            array = cache[name][1]
-            if array.ndim == 0:
-                array[()] = kind == "add"
-            else:
-                array[tup] = kind == "add"
         for name in patchable:
-            cache[name] = (self.structure.relation_version(name), cache[name][1])
+            added, removed = batch.deltas[name]
+            array = cache[name][1]
+            for tup in removed:
+                array[tup] = False
+            for tup in added:
+                array[tup] = True
+            cache[name] = (self.structure.relation_version(name), array)
 
     def _stage_basic(self, batch: BatchUpdate, basic: Insert | Delete) -> None:
         """Stage one basic input edit, honouring the program's undirected
@@ -617,34 +618,17 @@ class DynFOEngine:
         evaluation), and advance the request counter — the fast path
         :func:`~.journal.recover` takes when the journal carries effects.
         The transition is exactly what :meth:`apply` committed when the
-        record was written, so physical and logical replay agree."""
+        record was written, so physical and logical replay agree.  The
+        stats count the relations and tuples the record stages."""
         self._dispatch(request)  # validation only
+        batch = self.structure.begin_batch()
         try:
-            self.structure.apply_effects(effects)
+            batch.stage_effects(effects)
         except StructureError as error:
             raise UpdateError(
                 f"replaying journaled effects for {request} failed: {error}"
             ) from error
-        if self._dense_cache is not None:
-            # effect replay bypasses the patch path; entries turn stale and
-            # rebuild lazily on the next evaluation
-            self._dense_cache.clear()
-        self.last_update_stats = {
-            "relations_redefined": len(effects.get("set", {})),
-            "tuples_written": sum(len(rows) for rows in effects.get("set", {}).values()),
-            "temporary_tuples": 0,
-            "tuples_added": sum(
-                1 for kind, _, _ in effects.get("edits", ()) if kind == "add"
-            ),
-            "tuples_removed": sum(
-                1 for kind, _, _ in effects.get("edits", ()) if kind == "discard"
-            ),
-        }
-        self.requests_applied += 1
-        if self.audit_every > 0:
-            self._audit_log.append(request)
-            if self.requests_applied % self.audit_every == 0:
-                self.audit()
+        self._commit(request, batch, _update_stats(batch.deltas))
 
     def holds_in(self, name: str, *tup: int) -> bool:
         """Membership test against a relational query's result: one

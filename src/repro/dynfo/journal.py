@@ -25,13 +25,16 @@ is the usual one: never acknowledge a request to its submitter until a
 
 Effect records: every append carries the request's committed state
 transition — :meth:`~repro.logic.structure.BatchUpdate.effects` — under
-``"fx"``.  That is the handful of tuples the update actually changed, so
-journal bytes per update scale with the delta rather than with |aux|, and
-:func:`recover` replays the record *physically* (apply the recorded
-transition, no formula re-evaluation).  Journals of earlier engines may
-carry whole redefined relations under ``"set"``; they replay physically
-too.  Records without ``"fx"`` (older journals, whole or mixed) still
-recover via logical replay.
+``"fx"``: each changed relation's ``(added, removed)`` pair, written as its
+sorted ``add`` edits, then its sorted ``discard`` edits.  That is the
+handful of tuples the update actually changed, so journal bytes per update
+scale with the delta rather than with |aux|, and :func:`recover` replays
+the record *physically*: it stages the edits back into per-relation sets,
+the last edit of a tuple winning, and commits them (no formula
+re-evaluation).  Journals of earlier engines may carry whole redefined
+relations under ``"set"``; replay stages each as its difference from the
+current rows.  Records without ``"fx"`` (older journals, whole or mixed)
+still recover via logical replay.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .vocabulary import Vocabulary, VocabularyError
@@ -32,6 +33,14 @@ class StructureError(ValueError):
 # set has not been mutated since, even across borrowed expansions that share
 # row sets with their base structure (see :meth:`Structure.expand`).
 _VERSION_COUNTER = itertools.count(1)
+
+
+def _key_of(positions: tuple[int, ...]):
+    """The function mapping a row to its hash-index key over ``positions``."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda tup: (tup[position],)
+    return itemgetter(*positions) if positions else lambda tup: ()
 
 
 class Structure:
@@ -58,8 +67,8 @@ class Structure:
             name: 0 for name in vocabulary.constant_names()
         }
         # Hash indexes: relation name -> column positions -> key -> row set.
-        # Built lazily by index_on(), maintained incrementally by add/discard
-        # (and batch edits), dropped wholesale by set_relation.
+        # Built lazily by index_on(), patched by every change _apply_delta
+        # makes, dropped wholesale by set_relation.
         self._indexes: dict[
             str, dict[tuple[int, ...], dict[tuple[int, ...], set[tuple[int, ...]]]]
         ] = {}
@@ -67,8 +76,7 @@ class Structure:
         self._versions: dict[str, int] = {}
         if relations:
             for name, tuples in relations.items():
-                for tup in tuples:
-                    self.add(name, tup)
+                self._apply_delta(name, self._check_rows(name, tuples), set())
         if constants:
             for name, value in constants.items():
                 self.set_constant(name, value)
@@ -95,6 +103,10 @@ class Structure:
             self._check_element(value)
         return tup
 
+    def _check_rows(self, name: str, tuples: Iterable) -> set[tuple[int, ...]]:
+        self.relation_view(name)  # raises on unknown name, even with no rows
+        return {self._check_tuple(name, tup) for tup in tuples}
+
     # -- relation access --------------------------------------------------
 
     def relation(self, name: str) -> frozenset[tuple[int, ...]]:
@@ -115,53 +127,49 @@ class Structure:
         return tuple(tup) in self.relation_view(name)
 
     def add(self, name: str, tup: tuple[int, ...]) -> None:
-        self._apply_add(name, self._check_tuple(name, tup))
+        self._apply_delta(name, {self._check_tuple(name, tup)}, set())
 
     def discard(self, name: str, tup: tuple[int, ...]) -> None:
-        self._apply_discard(name, self._check_tuple(name, tup))
+        self._apply_delta(name, set(), {self._check_tuple(name, tup)})
 
     def set_relation(self, name: str, tuples: Iterable[tuple[int, ...]]) -> None:
         """Replace the whole interpretation of ``name``."""
-        checked = {self._check_tuple(name, tuple(tup)) for tup in tuples}
-        self.relation_view(name)  # raises on unknown name
-        self._relations[name] = checked
+        self._relations[name] = self._check_rows(name, tuples)
         self._indexes.pop(name, None)
         self._versions[name] = next(_VERSION_COUNTER)
 
-    # -- incremental mutation internals (validation already done) -----------
-
-    def _apply_add(self, name: str, tup: tuple[int, ...]) -> None:
+    def _apply_delta(self, name: str, added: set, removed: set) -> None:
+        """Apply one relation's change (disjoint, validated sets) at set
+        speed: keep its effective part, patch every index on the relation,
+        and bump the version once if the rows changed."""
         rows = self._relations[name]
-        if tup in rows:
+        added = added - rows
+        removed = removed & rows
+        if not added and not removed:
             return
-        rows.add(tup)
+        rows -= removed
+        rows |= added
         for positions, buckets in self._indexes.get(name, {}).items():
-            buckets.setdefault(tuple(tup[p] for p in positions), set()).add(tup)
-        self._versions[name] = next(_VERSION_COUNTER)
-
-    def _apply_discard(self, name: str, tup: tuple[int, ...]) -> None:
-        rows = self._relations[name]
-        if tup not in rows:
-            return
-        rows.discard(tup)
-        for positions, buckets in self._indexes.get(name, {}).items():
-            key = tuple(tup[p] for p in positions)
-            bucket = buckets.get(key)
-            if bucket is not None:
+            key_of = _key_of(positions)
+            for tup in removed:
+                key = key_of(tup)
+                bucket = buckets[key]
                 bucket.discard(tup)
                 if not bucket:
                     del buckets[key]
+            for tup in added:
+                buckets.setdefault(key_of(tup), set()).add(tup)
         self._versions[name] = next(_VERSION_COUNTER)
 
     # -- hash indexes and version stamps ------------------------------------
 
     def relation_version(self, name: str) -> int:
-        """Monotone stamp bumped on every effective mutation of ``name``.
+        """Monotone stamp bumped once per change that alters ``name``'s rows.
 
         Equal stamps guarantee the relation's row set is unchanged, even
-        across :meth:`expand` with ``borrow=True`` (stamps are shared along
-        with the row sets there).  Used by evaluator-side caches (e.g. the
-        dense backend's array cache) to validate reuse.
+        across :meth:`expand` with ``borrow=True`` (which starts from the
+        base's stamps).  Used by evaluator-side caches (e.g. the dense
+        backend's array cache) to validate reuse.
         """
         version = self._versions.get(name)
         if version is None:
@@ -174,9 +182,9 @@ class Structure:
     ) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
         """Hash index over ``name`` keyed by the given column positions.
 
-        Built lazily on first probe (one pass over the relation), then kept
-        consistent incrementally by :meth:`add`/:meth:`discard` and by batch
-        edits; :meth:`set_relation` invalidates every index on the relation.
+        Built lazily on first probe (one pass over the relation), then
+        patched by every change applied to it (add, discard, a committed
+        batch's Δ); :meth:`set_relation` invalidates every index on it.
         Callers must treat the returned buckets as read-only.
         """
         positions = tuple(positions)
@@ -185,9 +193,9 @@ class Structure:
         index = per_relation.get(positions)
         if index is None:
             index = {}
+            key_of = _key_of(positions)
             for tup in rows:
-                key = tuple(tup[p] for p in positions)
-                index.setdefault(key, set()).add(tup)
+                index.setdefault(key_of(tup), set()).add(tup)
             per_relation[positions] = index
         return index
 
@@ -254,8 +262,9 @@ class Structure:
         """Expand to a larger vocabulary; new symbols start empty/0 unless given.
 
         With ``borrow=True`` the expansion *shares* the base structure's row
-        sets, hash indexes, and version stamps instead of copying them (an
-        O(1) view per inherited relation rather than O(|rows|)).  A borrowed
+        sets and per-relation hash indexes instead of copying them (an O(1)
+        view per inherited relation rather than O(|rows|)); indexes and
+        version stamps of the new symbols die with the expansion.  A borrowed
         expansion is a read-only view of the inherited relations: replacing a
         symbol wholesale via :meth:`set_relation` is safe (it rebinds, never
         mutates, the shared set), but :meth:`add`/:meth:`discard` on an
@@ -265,9 +274,10 @@ class Structure:
         out = Structure(vocabulary, self.n)
         if borrow:
             for rel in self.vocabulary:
-                out._relations[rel.name] = self._relations[rel.name]
-            out._indexes = self._indexes
-            out._versions = self._versions
+                name = rel.name
+                out._relations[name] = self._relations[name]
+                out._indexes[name] = self._indexes.setdefault(name, {})
+                out._versions[name] = self.relation_version(name)
             for name in self.vocabulary.constant_names():
                 out._constants[name] = self._constants[name]
         else:
@@ -284,20 +294,10 @@ class Structure:
         return out
 
     def apply_effects(self, fx: Mapping) -> None:
-        """Replay a :meth:`BatchUpdate.effects` record: stage every recorded
-        edit (re-validating against this structure) and commit atomically."""
+        """Replay a :meth:`BatchUpdate.effects` record atomically (see
+        :meth:`BatchUpdate.stage_effects`)."""
         batch = self.begin_batch()
-        for name, rows in fx.get("set", {}).items():
-            batch.set_relation(name, (tuple(tup) for tup in rows))
-        for kind, name, tup in fx.get("edits", ()):
-            if kind == "add":
-                batch.add(name, tuple(tup))
-            elif kind == "discard":
-                batch.discard(name, tuple(tup))
-            else:
-                raise StructureError(f"unknown effect edit kind {kind!r}")
-        for name, value in fx.get("const", {}).items():
-            batch.set_constant(name, value)
+        batch.stage_effects(fx)
         batch.commit()
 
     def begin_batch(self) -> "BatchUpdate":
@@ -350,48 +350,38 @@ class Structure:
 
 
 class BatchUpdate:
-    """Staged edits to one :class:`Structure`, committed atomically.
+    """Staged changes to one :class:`Structure`, committed atomically.
 
-    Staging methods mirror the structure's mutators but only record the edit
-    after validating it against the *target* structure's vocabulary and
-    universe; the target is not touched until :meth:`commit`.  ``commit``
+    Each relation's change is a pair of sets, ``deltas[name] = (added,
+    removed)``, owned by the batch (it never aliases a live relation's
+    rows).  Staging a tuple on one side removes it from the other, so the
+    last edit of a tuple wins, as in sequential application.  Staging
+    validates against the target's vocabulary and universe; ``commit``
     performs no validation and no allocation that can fail, so an exception
-    anywhere during staging leaves the structure byte-identical to before.
-
-    Edits are applied in commit order: whole-relation replacements first,
-    then single-tuple add/discard edits (in staging order), then constants —
-    matching the engine's primed-swap-then-mirror update discipline.
+    during staging leaves the structure byte-identical to before.
     """
 
-    __slots__ = ("_structure", "_relations", "_edits", "_constants", "_committed")
+    __slots__ = ("_structure", "deltas", "_constants", "_committed")
 
     def __init__(self, structure: Structure) -> None:
         self._structure = structure
-        self._relations: dict[str, set[tuple[int, ...]]] = {}
-        self._edits: list[tuple[str, str, tuple[int, ...]]] = []
+        self.deltas: dict[str, tuple[set[tuple[int, ...]], set[tuple[int, ...]]]] = {}
         self._constants: dict[str, int] = {}
         self._committed = False
 
-    def set_relation(self, name: str, tuples: Iterable[tuple[int, ...]]) -> None:
-        """Stage a whole-relation replacement."""
-        structure = self._structure
-        structure.relation_view(name)  # raises on unknown name
-        self._relations[name] = {
-            structure._check_tuple(name, tuple(tup)) for tup in tuples
-        }
-
     def add(self, name: str, tup: tuple[int, ...]) -> None:
         """Stage a single-tuple insertion."""
-        self._edits.append(("add", name, self._structure._check_tuple(name, tup)))
+        self._stage(name, {self._structure._check_tuple(name, tup)}, True)
 
     def discard(self, name: str, tup: tuple[int, ...]) -> None:
         """Stage a single-tuple removal."""
-        self._edits.append(("discard", name, self._structure._check_tuple(name, tup)))
+        self._stage(name, {self._structure._check_tuple(name, tup)}, False)
 
     def stage_edits_trusted(
         self, kind: str, name: str, tuples: Iterable[tuple[int, ...]]
     ) -> None:
-        """Stage pre-validated edits without per-tuple checks.
+        """Stage pre-validated insertions (``kind="add"``) or removals
+        (``"discard"``) of ``tuples`` without per-tuple checks.
 
         Internal fast path for delta staging: the engine's definition deltas
         are evaluator outputs, whose rows are guaranteed to be in-arity and
@@ -399,9 +389,33 @@ class BatchUpdate:
         range, or bounds-checked constant binds)."""
         if kind not in ("add", "discard"):
             raise StructureError(f"unknown edit kind {kind!r}")
-        edits = self._edits
-        for tup in tuples:
-            edits.append((kind, name, tup))
+        self._stage(name, tuples, kind == "add")
+
+    def _stage(self, name: str, tuples: Iterable[tuple[int, ...]], add: bool) -> None:
+        delta = self.deltas.get(name)
+        if delta is None:
+            self._structure.relation_view(name)  # raises on unknown name
+            delta = self.deltas[name] = (set(), set())
+        staged, other = delta if add else delta[::-1]
+        if not isinstance(tuples, (set, frozenset)):
+            tuples = set(tuples)
+        if other:
+            other -= tuples
+        staged |= tuples
+
+    def stage_effects(self, fx: Mapping) -> None:
+        """Stage a :meth:`effects` record, re-validating every tuple.  An
+        older journal's whole-relation ``"set"`` record is staged as its
+        difference from the current rows, before the record's edits."""
+        current = self._structure
+        for name, rows in fx.get("set", {}).items():
+            target = current._check_rows(name, rows)
+            self._stage(name, target - current.relation_view(name), True)
+            self._stage(name, current.relation_view(name) - target, False)
+        for kind, name, tup in fx.get("edits", ()):
+            self.stage_edits_trusted(kind, name, {current._check_tuple(name, tup)})
+        for name, value in fx.get("const", {}).items():
+            self.set_constant(name, value)
 
     def set_constant(self, name: str, value: int) -> None:
         """Stage a constant write."""
@@ -411,47 +425,32 @@ class BatchUpdate:
         self._constants[name] = structure._check_element(value)
 
     def commit(self) -> None:
-        """Apply every staged edit.  Infallible by construction; a batch
-        commits at most once.  Whole-relation replacements drop that
-        relation's hash indexes; single-tuple edits maintain them in place."""
+        """Apply each relation's Δ in one step, then the constants.
+        Infallible by construction; a batch commits at most once."""
         if self._committed:
             raise StructureError("batch already committed")
         self._committed = True
         structure = self._structure
-        for name, rows in self._relations.items():
-            structure._relations[name] = rows
-            structure._indexes.pop(name, None)
-            structure._versions[name] = next(_VERSION_COUNTER)
-        for kind, name, tup in self._edits:
-            if kind == "add":
-                structure._apply_add(name, tup)
-            else:
-                structure._apply_discard(name, tup)
+        for name, (added, removed) in self.deltas.items():
+            structure._apply_delta(name, added, removed)
         for name, value in self._constants.items():
             structure._constants[name] = value
 
-    @property
-    def staged_edits(self) -> list[tuple[str, str, tuple[int, ...]]]:
-        """The single-tuple edits staged so far, in staging order
-        (``(kind, relation, tuple)`` with kind ``"add"``/``"discard"``)."""
-        return self._edits
-
     def effects(self) -> dict:
         """JSON-serializable description of exactly what :meth:`commit` will
-        do, in commit order: whole-relation replacements under ``"set"``,
-        single-tuple edits (staging order) under ``"edits"``, constant writes
-        under ``"const"``.  Empty sections are omitted, so a batch of
-        single-tuple edits serializes to just the tuples it changes.
-        Replayable via :meth:`Structure.apply_effects`.
+        do: each staged relation's sorted additions, then its sorted
+        removals, under ``"edits"`` and constant writes under ``"const"``;
+        empty sections are omitted.  The only place a change is sorted, so
+        journals stay byte-stable.  Replayable via
+        :meth:`Structure.apply_effects`.
         """
         fx: dict = {}
-        if self._relations:
-            fx["set"] = {
-                name: sorted(list(tup) for tup in rows)
-                for name, rows in self._relations.items()
-            }
-        if self._edits:
-            fx["edits"] = [[kind, name, list(tup)] for kind, name, tup in self._edits]
+        edits = []
+        for name, (added, removed) in self.deltas.items():
+            edits.extend(["add", name, list(tup)] for tup in sorted(added))
+            edits.extend(["discard", name, list(tup)] for tup in sorted(removed))
+        if edits:
+            fx["edits"] = edits
         if self._constants:
             fx["const"] = dict(self._constants)
         return fx

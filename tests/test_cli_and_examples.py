@@ -36,6 +36,15 @@ class TestCli:
         )
         assert "verified" in capsys.readouterr().out
 
+    def test_verify_journal_replays_to_the_live_structure(self, capsys, tmp_path):
+        path = tmp_path / "run.journal"
+        args = ["verify", "reach_u", "--n", "6", "--steps", "30", "--journal", str(path)]
+        assert main(args) == 0
+        assert "replayed to the same state" in capsys.readouterr().out
+        # a journal that already holds another run replays that run instead
+        assert main(args + ["--seed", "1"]) == 1
+        assert "does not replay to the live structure" in capsys.readouterr().err
+
     def test_explain(self, capsys):
         from repro.programs import make_reach_u_program
 

@@ -10,10 +10,12 @@ of older journals."""
 import functools
 import json
 
+import numpy as np
 import pytest
 
 from repro.dynfo import DynFOEngine
 from repro.dynfo.journal import RequestJournal, read_journal_entries, recover
+from repro.dynfo.requests import Insert, request_to_item
 from repro.programs import make_multiplication_program, make_reach_u_program
 from repro.programs.dyck import make_dyck_program
 from repro.workloads import number_bit_script, undirected_script
@@ -223,3 +225,63 @@ class TestJournalEquivalence:
         assert physical.requests_applied == len(script)
         # the physical path was really taken, with whole-relation records
         assert physical.last_update_stats["relations_redefined"] >= 1
+
+
+def _apply_sequentially(structure, fx):
+    """An effect record applied the way earlier engines committed it: the
+    whole-relation ``"set"`` entries, then each edit in order."""
+    for name, rows in fx.get("set", {}).items():
+        structure.set_relation(name, [tuple(tup) for tup in rows])
+    for kind, name, tup in fx.get("edits", ()):
+        getattr(structure, kind)(name, tuple(tup))
+
+
+# Records in the formats of earlier engines that staged tuple by tuple: the
+# same tuple edited both ways, and a "set" combined with edits on its relation.
+OLDER_RECORDS = [
+    (Insert("E", (0, 1)), None),  # request-only: replays logically
+    (
+        Insert("E", (1, 2)),
+        {"edits": [["add", "E", [1, 2]], ["discard", "E", [1, 2]],
+                   ["discard", "E", [0, 1]], ["add", "E", [0, 1]],
+                   ["add", "E", [2, 1]]]},
+    ),
+    (
+        Insert("E", (2, 3)),
+        {"set": {"E": [[2, 3], [3, 2], [0, 1]]},
+         "edits": [["add", "E", [1, 0]], ["discard", "E", [2, 3]],
+                   ["add", "F", [2, 3]], ["discard", "F", [2, 3]],
+                   ["discard", "F", [0, 1]], ["add", "F", [0, 1]]]},
+    ),
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_older_records_replay_last_edit_wins(tmp_path, backend):
+    """Physical replay of per-tuple records equals applying their edits one
+    by one, and leaves the dense tensor cache consistent for later updates."""
+    path = tmp_path / "older.ndjson"
+    with path.open("w") as out:
+        for seq, (request, fx) in enumerate(OLDER_RECORDS):
+            item = {"seq": seq, "req": request_to_item(request)}
+            if fx is not None:
+                item["fx"] = fx
+            out.write(json.dumps(item) + "\n")
+    expected = DynFOEngine(make_reach_u_program(), N)
+    expected.apply(OLDER_RECORDS[0][0])
+    for _, fx in OLDER_RECORDS[1:]:
+        _apply_sequentially(expected.structure, fx)
+    recovered = recover(make_reach_u_program(), path, n=N, backend=backend, attach=False)
+    assert recovered.aux_snapshot() == expected.aux_snapshot()
+    assert recovered.requests_applied == len(OLDER_RECORDS)
+    if backend == "dense":
+        # replay patches the tensors the logical record cached, in place
+        cache = recovered._dense_cache
+        assert "E" in cache and "F" in cache
+        for name, (version, array) in cache.items():
+            if version == recovered.structure.relation_version(name):
+                cells = {tuple(int(v) for v in hit) for hit in np.argwhere(array)}
+                assert cells == recovered.structure.relation_view(name), name
+    for engine in (recovered, expected):
+        engine.apply(Insert("E", (3, 4)))
+    assert recovered.aux_snapshot() == expected.aux_snapshot()

@@ -82,3 +82,33 @@ def test_request_order_independence_of_answers():
     for (u, v) in reversed(inserts):
         b.insert("E", u, v)
     assert a.query("connected") == b.query("connected")
+
+
+def test_forest_delete_leaves_no_scratch_index_on_the_live_structure():
+    """The delete rule's temporaries (TP, CandE, NewE) live in a borrowed
+    scratch expansion: indexes and version stamps built on them must die
+    with it, while the indexes a delete builds on the auxiliary relations
+    persist, so a second delete builds none."""
+    n = 12
+    engine = DynFOEngine(make_reach_u_program(), n)
+    for u in range(n):
+        engine.insert("E", u, (u + 1) % n)  # a cycle: every edge has a bypass
+    for u in range(0, n, 3):
+        engine.insert("E", u, (u + 5) % n)
+    structure = engine.structure
+    aux = {rel.name for rel in engine.program.aux_vocabulary}
+
+    def delete_a_forest_edge():
+        u, v = min((u, v) for (u, v) in structure.relation_view("F") if u < v)
+        engine.delete("E", u, v)
+        assert set(structure._indexes) <= aux
+        assert set(structure._versions) <= aux
+        return {name: dict(per) for name, per in structure._indexes.items()}
+
+    built = delete_a_forest_edge()
+    assert any(built.values())  # the delete does probe indexes on aux relations
+    again = delete_a_forest_edge()
+    for name, indexes in again.items():
+        assert indexes.keys() == built.get(name, {}).keys(), name
+        for positions, index in indexes.items():
+            assert index is built[name][positions], (name, positions)

@@ -1,6 +1,8 @@
 """Unit tests for finite structures (database instances)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.logic import Structure, StructureError, Vocabulary
 
@@ -119,3 +121,87 @@ class TestWholeStructure:
     def test_repr_summarizes(self, voc):
         structure = Structure(voc, 3, relations={"E": [(0, 1)]})
         assert "E:1" in repr(structure)
+
+
+# -- bulk commit: one set-speed step per relation, the sequential result ------
+
+BULK_N = 3
+BULK_VOC = Vocabulary.parse("E^2, U^1, Z^0, s")
+BULK_ARITY = {"E": 2, "U": 1, "Z": 0}
+# indexes built before the batch, on several column sets (the empty key too)
+BULK_INDEXES = [("E", (0,)), ("E", (1,)), ("E", (1, 0)), ("U", (0,)), ("U", ()), ("Z", ())]
+
+
+def _rows(name):
+    element = st.integers(0, BULK_N - 1)
+    return st.tuples(*[element] * BULK_ARITY[name])
+
+
+_edit = st.sampled_from(sorted(BULK_ARITY)).flatmap(
+    lambda name: st.tuples(st.sampled_from(["add", "discard"]), st.just(name), _rows(name))
+)
+_initial = st.fixed_dictionaries(
+    {name: st.sets(_rows(name)) for name in BULK_ARITY}
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_initial, st.lists(_edit, max_size=20), st.none() | st.integers(0, BULK_N - 1))
+def test_bulk_commit_equals_sequential_application(initial, edits, constant):
+    """A batch commits each relation's Δ as one set operation; the result
+    must be what applying the same edits one by one gives, with every index
+    patched and every version stamp moved exactly when its rows moved."""
+    structure = Structure(BULK_VOC, BULK_N, relations=initial)
+    for name, positions in BULK_INDEXES:
+        structure.index_on(name, positions)
+    versions = {name: structure.relation_version(name) for name in BULK_ARITY}
+    sequential = structure.copy()
+    replayed = structure.copy()
+    batch = structure.begin_batch()
+    for kind, name, tup in edits:
+        getattr(sequential, kind)(name, tup)
+        getattr(batch, kind)(name, tup)
+    if constant is not None:
+        sequential.set_constant("s", constant)
+        batch.set_constant("s", constant)
+    effects = batch.effects()
+    batch.commit()
+
+    assert structure == sequential
+    for name, positions in BULK_INDEXES:
+        fresh = Structure(BULK_VOC, BULK_N, relations={name: structure.relation(name)})
+        assert structure.index_on(name, positions) == fresh.index_on(name, positions)
+    for name, rows in initial.items():
+        moved = structure.relation_version(name) != versions[name]
+        assert moved == (structure.relation_view(name) != rows), name
+    replayed.apply_effects(effects)
+    assert replayed == structure
+
+
+class TestBatchUpdate:
+    def test_last_edit_of_a_tuple_wins(self, voc):
+        structure = Structure(voc, 4, relations={"E": [(0, 1)]})
+        batch = structure.begin_batch()
+        batch.add("E", (2, 3))
+        batch.discard("E", (2, 3))
+        batch.discard("E", (0, 1))
+        batch.add("E", (0, 1))
+        assert batch.deltas == {"E": ({(0, 1)}, {(2, 3)})}
+        batch.commit()
+        assert structure.relation("E") == {(0, 1)}
+
+    def test_batch_never_aliases_the_rows_it_is_given(self, voc):
+        structure = Structure(voc, 4)
+        rows = {(0, 1), (1, 2)}
+        batch = structure.begin_batch()
+        batch.stage_edits_trusted("add", "E", rows)
+        batch.commit()
+        rows.add((3, 3))
+        assert structure.relation("E") == {(0, 1), (1, 2)}
+        assert batch.deltas["E"][0] is not structure.relation_view("E")
+
+    def test_a_batch_commits_once(self, voc):
+        batch = Structure(voc, 4).begin_batch()
+        batch.commit()
+        with pytest.raises(StructureError):
+            batch.commit()
