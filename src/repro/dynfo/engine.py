@@ -13,12 +13,14 @@ Three evaluation backends are available (see DESIGN.md E15):
 * ``"naive"`` — brute-force reference semantics (small n only).
 
 Every backend runs the same update pipeline: each rule is compiled once
-per ``(backend, n)`` (:meth:`DynFOProgram.compile`) and each request runs
-the rule's temporaries and then each definition's Δ⁺/Δ⁻ items through the
-evaluator's ``execute``.  A backend may also be a wrapper: a callable
-``factory(structure, params, **kwargs) -> evaluator`` whose ``base``
-attribute names the backend whose compiled items it runs (e.g.
-:class:`~.faults.FaultyBackend` for chaos testing).
+per ``(backend, n)`` (:meth:`DynFOProgram.compile`) and each request runs,
+in one evaluator, the rule's temporaries (each ``bind``-ed into that
+evaluator as it is computed) and then each definition's Δ⁺/Δ⁻ items, all
+through the evaluator's ``execute``.  A backend may also be a wrapper: a
+callable ``factory(structure, params, **kwargs) -> evaluator`` whose
+``base`` attribute names the backend whose compiled items it runs (e.g.
+:class:`~.faults.FaultyBackend` for chaos testing); its evaluator provides
+``execute`` and ``bind``.
 
 ``apply`` is *transactional*: the request is validated up front
 (:class:`~.errors.RequestValidationError`), every primed relation, mirror
@@ -172,12 +174,12 @@ class DynFOEngine:
 
         Pipeline: validate the request, evaluate the rule against the
         current structure (the rule's temporaries — the paper's scratch
-        relations such as T and New — first, in order, into a scratch
-        expansion the definitions then read; then each primed relation's
-        change, its Δ⁺ and Δ⁻ plans, on the plan backends), stage every
-        write, journal the request, then commit the batch in one
-        infallible step.  On any failure before commit the auxiliary
-        structure is untouched."""
+        relations such as T and New — first, in order, each held by the
+        request's evaluator for the definitions to read; then each primed
+        relation's change, its Δ⁺ and Δ⁻ items), stage every write,
+        journal the request, then commit the batch in one infallible step.
+        On any failure before commit the auxiliary structure is
+        untouched."""
         rule, params, mirror = self._dispatch(request)
         batch, stats = self._stage(request, rule, params, mirror)
         journal = self._journal
@@ -227,31 +229,25 @@ class DynFOEngine:
         params: Mapping[str, int],
         mirror: tuple[str, str, tuple[int, ...]] | None,
     ) -> tuple[BatchUpdate, dict[str, int]]:
-        """Evaluate the rule and stage every write; never mutates
-        ``self.structure``."""
-        source = self.structure
+        """Evaluate the rule in one evaluator and stage every write; never
+        mutates ``self.structure``.  Each temporary is ``bind``-ed into the
+        evaluator (validated first unless the backend is trusted), where the
+        definitions read it through the same node memo."""
         temporary_tuples = 0
         try:
             # compiled once per (rule, backend, n), then a cache hit forever;
             # the evaluator binds ``params`` when it executes the items
             compiled = self.compiled.rule_plans(rule)
-            if rule.temporaries:
-                scratch_vocab = self.program.aux_vocabulary.extend(
-                    relations=[(d.name, len(d.frame)) for d in rule.temporaries]
+            evaluator = self._make_evaluator(params)
+            for temp, (name, plan) in zip(rule.temporaries, compiled.temporaries):
+                rows = self._timed_execute(
+                    "temporary", name, lambda: evaluator.execute(plan)
                 )
-                # borrow the live relations into the scratch expansion (O(1)
-                # per relation) instead of copying them; the scratch only
-                # ever *replaces* temporaries, never edits inherited
-                # relations in place, so borrowing is safe
-                source = self.structure.expand(scratch_vocab, borrow=True)
-                scratch_eval = self._make_evaluator(source, params)
-                for name, plan in compiled.temporaries:
-                    rows = self._timed_execute(
-                        "temporary", name, lambda: scratch_eval.execute(plan)
-                    )
-                    temporary_tuples += len(rows)
-                    source.set_relation(name, rows)
-            evaluator = self._make_evaluator(source, params)
+                arity = len(temp.frame)
+                if not self._trusted:
+                    rows = {self.structure._check_tuple(name, t, arity) for t in rows}
+                temporary_tuples += len(rows)
+                evaluator.bind(name, arity, rows)
             # name -> (tuples added, tuples removed): each definition's
             # change straight from its Δ⁺ and Δ⁻ items, nothing to diff
             changes: dict[str, tuple[set[tuple[int, ...]], set[tuple[int, ...]]]] = {}
@@ -306,8 +302,8 @@ class DynFOEngine:
             ) from error
         return batch, _update_stats(changes, temporary_tuples)
 
-    def _make_evaluator(self, structure: Structure, params: Mapping[str, int]):
-        """A backend evaluator over ``structure``, honouring the engine's
+    def _make_evaluator(self, params: Mapping[str, int]):
+        """A backend evaluator over the structure, honouring the engine's
         materialization budget (``max_rows``) and, on the dense backend, the
         relation-tensor cache; a wrapper receives the same arguments."""
         kwargs: dict = {}
@@ -316,7 +312,7 @@ class DynFOEngine:
             kwargs[budget] = self.max_rows
         if self._dense_cache is not None:
             kwargs["array_cache"] = self._dense_cache
-        return self._backend_factory(structure, params, **kwargs)
+        return self._backend_factory(self.structure, params, **kwargs)
 
     def _dense_cache_prepare(self, batch: BatchUpdate) -> set[str]:
         """Before commit: drop the batch's stale tensor-cache entries, and
@@ -587,7 +583,7 @@ class DynFOEngine:
         turning a blown materialization budget (``max_rows``) into a typed
         :class:`EngineError`."""
         try:
-            return self._make_evaluator(self.structure, params).execute(plan)
+            return self._make_evaluator(params).execute(plan)
         except EvaluationError as error:
             raise EngineError(
                 f"query {name!r} exceeded the evaluation budget: {error}"

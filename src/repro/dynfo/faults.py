@@ -149,3 +149,7 @@ class _FaultyEvaluator:
         if fire:
             rows = self._owner._sabotage_rows(rows, self._n)
         return rows
+
+    def bind(self, name: str, arity: int, rows: set[tuple[int, ...]]) -> None:
+        # not an evaluation: fault positions count execute() calls only
+        self._inner.bind(name, arity, rows)

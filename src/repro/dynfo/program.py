@@ -89,6 +89,8 @@ class UpdateRule:
     abbreviations — :func:`inline_temporaries` substitutes them away,
     yielding the equivalent pure first-order rule — but evaluating them once
     per update instead of once per candidate tuple is an enormous speedup.
+    They are never relations of the auxiliary structure: the engine binds
+    each one into the request's evaluator, and it dies with the request.
     """
 
     params: tuple[str, ...]
@@ -97,9 +99,6 @@ class UpdateRule:
 
     def defined_names(self) -> frozenset[str]:
         return frozenset(d.name for d in self.definitions)
-
-    def temporary_names(self) -> frozenset[str]:
-        return frozenset(d.name for d in self.temporaries)
 
 
 def inline_temporaries(rule: UpdateRule) -> UpdateRule:

@@ -67,9 +67,9 @@ class DenseEvaluator:
     """Executes compiled plans as boolean tensors over one fixed structure.
 
     API-compatible with :class:`repro.logic.relational.RelationalEvaluator`
-    (``rows``, ``truth``, and ``execute``), so the Dyn-FO engine can swap
-    backends.  Node results are memoized per plan-node object, like the
-    relational executor — but *every* node is always evaluated (no
+    (``rows``, ``truth``, ``execute`` and ``bind``), so the Dyn-FO engine
+    can swap backends.  Node results are memoized per plan-node object, like
+    the relational executor — but *every* node is always evaluated (no
     data-dependent short-circuits), so ``parallel_steps`` depends only on
     the plan shape, never on the data.
     """
@@ -143,20 +143,28 @@ class DenseEvaluator:
             if entry is not None and entry[0] == version:
                 self._relation_arrays[name] = entry[1]
                 return entry[1]
-        n = self.structure.n
-        arity = self.structure.vocabulary.arity(name)
-        array = np.zeros((n,) * arity, dtype=bool)
-        rows = self.structure.relation_view(name)
-        if rows:
-            if arity == 0:
-                array = np.array(True)
-            else:
-                idx = np.array(sorted(rows), dtype=np.intp)
-                array[tuple(idx[:, i] for i in range(arity))] = True
+        array = self._rows_array(
+            self.structure.vocabulary.arity(name), self.structure.relation_view(name)
+        )
         self._relation_arrays[name] = array
         if self.array_cache is not None:
             self.array_cache[name] = (version, array)
         return array
+
+    def _rows_array(self, arity: int, rows) -> np.ndarray:
+        """The boolean tensor holding ``rows`` (``arity``-tuples)."""
+        if arity == 0:
+            return np.array(bool(rows))
+        array = np.zeros((self.structure.n,) * arity, dtype=bool)
+        if rows:
+            idx = np.array(sorted(rows), dtype=np.intp)
+            array[tuple(idx[:, i] for i in range(arity))] = True
+        return array
+
+    def bind(self, name: str, arity: int, rows: set[tuple[int, ...]]) -> None:
+        """Make ``rows`` the relation ``name`` for every later plan; its
+        tensor lives in this evaluator, never in the ``array_cache``."""
+        self._relation_arrays[name] = self._rows_array(arity, rows)
 
     # -- plan execution ---------------------------------------------------------
 

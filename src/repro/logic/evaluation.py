@@ -223,3 +223,9 @@ class NaiveEvaluator:
             return set(rows)
         current = self.structure.relation_view(item.name)
         return rows - current if item.delta == "+" else current - rows
+
+    def bind(self, name: str, arity: int, rows: set[tuple[int, ...]]) -> None:
+        """Evaluate every later item over the expansion of the structure by
+        the relation ``name`` holding ``rows``."""
+        vocabulary = self.structure.vocabulary.extend(relations=[(name, arity)])
+        self.structure = self.structure.expand(vocabulary, relations={name: rows})

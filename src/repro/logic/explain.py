@@ -9,9 +9,9 @@ out slow the right tool is a query plan.  Two views are offered:
   update rule's plans the way the engine runs them (temporaries, then each
   definition's Δ⁺ and Δ⁻).
 * :func:`explain` / :func:`plan_events` — the *dynamic* view: evaluate a
-  formula with tracing enabled and render the executor's steps —
-  per-subformula materializations with their column frames and live row
-  counts, joins, filters, universe widenings.
+  formula, then walk its plan and render each node with its column frame
+  and the live row count the executor memoized for it — joins, filters,
+  universe widenings, and the branches an empty input skipped.
 
 >>> from repro.logic import Structure, Vocabulary
 >>> from repro.logic.dsl import Rel, exists
@@ -34,6 +34,7 @@ from .plan import (
     Filter,
     Plan,
     Union,
+    cached_plan,
     plan_children,
     plan_depth,
     plan_nodes,
@@ -130,15 +131,33 @@ def plan_events(
     params: Mapping[str, int] | None = None,
     max_rows: int | None = None,
 ) -> tuple[list[tuple[int, str, tuple[str, ...], int]], set[tuple[int, ...]]]:
-    """Evaluate with tracing; returns (events, result rows).
+    """Evaluate, then walk the plan; returns (events, result rows).
 
-    Each event is ``(depth, description, columns, row_count)``.
+    Each event is ``(depth, description, columns, row_count)``, one per plan
+    node in pre-order, with the rows the executor's node memo holds for it.
+    A shared node is described in full once and as ``cached`` after that; a
+    node the executor never ran (an empty input cut its branch short) is
+    ``skipped``, with 0 rows.
     """
-    trace: list = []
     kwargs = {} if max_rows is None else {"max_rows": max_rows}
-    evaluator = RelationalEvaluator(structure, params, trace=trace, **kwargs)
+    evaluator = RelationalEvaluator(structure, params, **kwargs)
+    plan = cached_plan(formula, tuple(frame))
     rows = evaluator.rows(formula, frame)
-    return trace, rows
+    events: list[tuple[int, str, tuple[str, ...], int]] = []
+    seen: set[int] = set()
+
+    def walk(node: Plan, depth: int) -> None:
+        count = evaluator.node_rows(node)
+        state = "skipped " if count is None else "cached " if id(node) in seen else ""
+        label = state + (node.label or type(node).__name__)
+        events.append((depth, label, node.columns, count or 0))
+        if id(node) not in seen:
+            seen.add(id(node))
+            for child in plan_children(node):
+                walk(child, depth + 1)
+
+    walk(plan, 0)
+    return events, rows
 
 
 def explain(

@@ -117,7 +117,8 @@ class RelationalEvaluator:
     Node results are memoized per plan-node object, so create one evaluator
     per update step and reuse it for every update formula of that step —
     plan nodes shared between formulas (a guard used by several definitions)
-    are then evaluated once.
+    are then evaluated once.  An update's temporaries are :meth:`bind`-ed
+    into the same evaluator, so they live exactly as long as the step.
     """
 
     def __init__(
@@ -125,24 +126,15 @@ class RelationalEvaluator:
         structure: Structure,
         params: Mapping[str, int] | None = None,
         max_rows: int = DEFAULT_MAX_ROWS,
-        trace: list | None = None,
     ) -> None:
         self.structure = structure
         self.params = dict(params) if params else {}
         self.max_rows = max_rows
-        # optional plan trace: (depth, event, columns, rows) tuples appended
-        # as the executor works — see repro.logic.explain
-        self.trace = trace
-        self._depth = 0
         # id-keyed to avoid hashing plan trees; the node is pinned in the
         # value so its id cannot be recycled.
         self._results: dict[int, tuple[Plan, Relation]] = {}
-
-    def _record(self, event: str, relation: Relation | None = None) -> None:
-        if self.trace is not None:
-            columns = relation.vars if relation is not None else ()
-            rows = len(relation.rows) if relation is not None else 0
-            self.trace.append((self._depth, event, columns, rows))
+        # the step's temporaries, read before the structure: name -> rows
+        self._bound: dict[str, set[tuple[int, ...]]] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -165,6 +157,16 @@ class RelationalEvaluator:
         # structure view (direct atom scan) or be shared between plans
         return set(self._exec(plan).rows)
 
+    def bind(self, name: str, arity: int, rows: set[tuple[int, ...]]) -> None:
+        """Make ``rows`` (``arity``-tuples, owned by the evaluator from now
+        on) the relation ``name`` for every plan executed after this."""
+        self._bound[name] = rows
+
+    def node_rows(self, plan: Plan) -> int | None:
+        """Rows the node ``plan`` produced, or None if it never ran."""
+        cached = self._results.get(id(plan))
+        return None if cached is None else len(cached[1].rows)
+
     # -- helpers -------------------------------------------------------------
 
     def _check_size(self, relation: Relation) -> Relation:
@@ -183,16 +185,9 @@ class RelationalEvaluator:
     def _exec(self, plan: Plan) -> Relation:
         cached = self._results.get(id(plan))
         if cached is not None:
-            self._record(f"cached {plan.label or type(plan).__name__}", cached[1])
             return cached[1]
-        self._depth += 1
-        try:
-            result = self._exec_node(plan)
-        finally:
-            self._depth -= 1
-        self._check_size(result)
+        result = self._check_size(self._exec_node(plan))
         self._results[id(plan)] = (plan, result)
-        self._record(plan.label or type(plan).__name__, result)
         return result
 
     def _exec_node(self, plan: Plan) -> Relation:
@@ -236,7 +231,8 @@ class RelationalEvaluator:
     # -- leaves ---------------------------------------------------------------
 
     def _exec_atom(self, plan: AtomScan) -> Relation:
-        view = self.structure.relation_view(plan.rel)
+        bound = self._bound.get(plan.rel)
+        view = self.structure.relation_view(plan.rel) if bound is None else bound
         if plan.direct:
             # borrowed zero-copy view: never mutated by the executor, and
             # copied at the execute()/rows() boundary
@@ -251,7 +247,12 @@ class RelationalEvaluator:
             # the fixed column positions instead of an O(|rel|) scan
             positions = tuple(pos for pos, _ in fixed)
             key = tuple(value for _, value in fixed)
-            bucket = self.structure.index_on(plan.rel, positions).get(key)
+            if bound is None:
+                bucket = self.structure.index_on(plan.rel, positions).get(key)
+            else:
+                # a temporary lives one step: scan it rather than index it
+                key_of = _tuple_getter(positions)
+                bucket = [row for row in bound if key_of(row) == key]
             if not bucket:
                 return Relation.empty(plan.columns)
             return Relation(plan.columns, self._scan_project(bucket, plan))

@@ -30,8 +30,7 @@ class StructureError(ValueError):
 
 # Version stamps are drawn from one process-wide counter so that a stamp is
 # globally unique per relation *state*: equal stamps imply the underlying row
-# set has not been mutated since, even across borrowed expansions that share
-# row sets with their base structure (see :meth:`Structure.expand`).
+# set has not been mutated since.
 _VERSION_COUNTER = itertools.count(1)
 
 
@@ -92,8 +91,13 @@ class Structure:
             )
         return value
 
-    def _check_tuple(self, name: str, tup: tuple[int, ...]) -> tuple[int, ...]:
-        arity = self.vocabulary.arity(name)
+    def _check_tuple(
+        self, name: str, tup: tuple[int, ...], arity: int | None = None
+    ) -> tuple[int, ...]:
+        """``tup`` checked against ``name``'s arity (or ``arity``, for a
+        relation outside the vocabulary) and the universe."""
+        if arity is None:
+            arity = self.vocabulary.arity(name)
         tup = tuple(tup)
         if len(tup) != arity:
             raise StructureError(
@@ -166,10 +170,9 @@ class Structure:
     def relation_version(self, name: str) -> int:
         """Monotone stamp bumped once per change that alters ``name``'s rows.
 
-        Equal stamps guarantee the relation's row set is unchanged, even
-        across :meth:`expand` with ``borrow=True`` (which starts from the
-        base's stamps).  Used by evaluator-side caches (e.g. the dense
-        backend's array cache) to validate reuse.
+        Equal stamps guarantee the relation's row set is unchanged.  Used
+        by evaluator-side caches (e.g. the dense backend's array cache) to
+        validate reuse.
         """
         version = self._versions.get(name)
         if version is None:
@@ -256,35 +259,16 @@ class Structure:
         vocabulary: Vocabulary,
         relations: Mapping[str, Iterable[tuple[int, ...]]] | None = None,
         constants: Mapping[str, int] | None = None,
-        *,
-        borrow: bool = False,
     ) -> "Structure":
-        """Expand to a larger vocabulary; new symbols start empty/0 unless given.
-
-        With ``borrow=True`` the expansion *shares* the base structure's row
-        sets and per-relation hash indexes instead of copying them (an O(1)
-        view per inherited relation rather than O(|rows|)); indexes and
-        version stamps of the new symbols die with the expansion.  A borrowed
-        expansion is a read-only view of the inherited relations: replacing a
-        symbol wholesale via :meth:`set_relation` is safe (it rebinds, never
-        mutates, the shared set), but :meth:`add`/:meth:`discard` on an
-        inherited symbol would silently mutate the base and must not be used.
-        The engine uses this for its per-request scratch structures.
-        """
+        """Expand to a larger vocabulary; new symbols start empty/0 unless
+        given.  The expansion is an independent copy: editing it never
+        touches this structure.  The naive reference evaluator uses it to
+        hold a rule's temporaries."""
         out = Structure(vocabulary, self.n)
-        if borrow:
-            for rel in self.vocabulary:
-                name = rel.name
-                out._relations[name] = self._relations[name]
-                out._indexes[name] = self._indexes.setdefault(name, {})
-                out._versions[name] = self.relation_version(name)
-            for name in self.vocabulary.constant_names():
-                out._constants[name] = self._constants[name]
-        else:
-            for rel in self.vocabulary:
-                out.set_relation(rel.name, self._relations[rel.name])
-            for name in self.vocabulary.constant_names():
-                out.set_constant(name, self.constant(name))
+        for rel in self.vocabulary:
+            out.set_relation(rel.name, self._relations[rel.name])
+        for name in self.vocabulary.constant_names():
+            out.set_constant(name, self.constant(name))
         if relations:
             for name, tuples in relations.items():
                 out.set_relation(name, tuples)

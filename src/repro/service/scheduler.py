@@ -137,17 +137,20 @@ class Scheduler:
 
     # -- admission ---------------------------------------------------------
 
-    def _admit(self, session: Session, deadline: float | None) -> float | None:
+    def _admit_many(
+        self, session: Session, count: int, deadline: float | None
+    ) -> float | None:
         if deadline is None:
             deadline = self.default_deadline
         with session.queue_lock:
-            if session.pending >= self.max_queue_depth:
+            if session.pending + count > self.max_queue_depth:
                 session.metrics.record_overload()
                 raise OverloadError(
-                    f"session {session.name!r} queue is full "
-                    f"({self.max_queue_depth} pending); back off and retry"
+                    f"session {session.name!r} queue cannot take {count} more "
+                    f"requests ({session.pending} of {self.max_queue_depth} "
+                    "slots used); back off and retry"
                 )
-            session.pending += 1
+            session.pending += count
         return deadline
 
     def _release(self, session: Session, count: int = 1) -> None:
@@ -207,22 +210,6 @@ class Scheduler:
         finally:
             self._release(session, len(outcomes))
 
-    def _admit_many(
-        self, session: Session, count: int, deadline: float | None
-    ) -> float | None:
-        if deadline is None:
-            deadline = self.default_deadline
-        with session.queue_lock:
-            if session.pending + count > self.max_queue_depth:
-                session.metrics.record_overload()
-                raise OverloadError(
-                    f"session {session.name!r} queue cannot take {count} more "
-                    f"requests ({session.pending} of {self.max_queue_depth} "
-                    "slots used); back off and retry"
-                )
-            session.pending += count
-        return deadline
-
     def _drain(self, session: Session) -> None:
         """The batch-commit loop.  Whoever holds ``writer_lock`` drains; the
         empty-queue check and the lock release happen under ``queue_lock``
@@ -250,50 +237,40 @@ class Scheduler:
         traces).  Returns whether it was applied."""
         engine = session.engine
         trace = outcome.trace
-        if trace is None:
-            try:
-                engine.apply(outcome.request)
-            except EngineError as error:
-                outcome.error = error
-            except Exception as error:  # no raw tracebacks to clients
-                outcome.error = EngineError(
-                    f"applying {outcome.request} failed: {error}"
-                )
-            else:
-                outcome.stats = engine.last_update_stats
-                return True
-            return False
         evals: list[tuple[str, str, int, int]] = []
-        if trace.detailed:
+        detailed = trace is not None and trace.detailed
+        if detailed:
             engine.eval_timing_hook = lambda kind, name, ns: evals.append(
                 (kind, name, time.monotonic_ns() - ns, ns)
             )
         started = time.monotonic_ns()
         try:
             engine.apply(outcome.request)
+            outcome.stats = engine.last_update_stats
         except EngineError as error:
             outcome.error = error
-        except Exception as error:
+        except Exception as error:  # no raw tracebacks to clients
             outcome.error = EngineError(f"applying {outcome.request} failed: {error}")
         finally:
-            if trace.detailed:
+            if detailed:
                 engine.eval_timing_hook = None
-        elapsed = time.monotonic_ns() - started
-        span = trace.record(
-            "engine_apply", started, elapsed, meta={"request": str(outcome.request)}
-        )
-        for kind, name, start_ns, ns in evals:
-            if kind == "journal":
-                trace.record("journal_append", start_ns, ns)
-            else:
-                span.add_child(f"eval:{name}", start_ns, ns, meta={"kind": kind})
-        if outcome.error is not None:
-            return False
-        outcome.stats = engine.last_update_stats
-        # delta sizes on the span: how many tuples the update actually moved
-        span.meta["tuples_added"] = outcome.stats.get("tuples_added", 0)
-        span.meta["tuples_removed"] = outcome.stats.get("tuples_removed", 0)
-        return True
+        if trace is not None:
+            span = trace.record(
+                "engine_apply",
+                started,
+                time.monotonic_ns() - started,
+                meta={"request": str(outcome.request)},
+            )
+            for kind, name, start_ns, ns in evals:
+                if kind == "journal":
+                    trace.record("journal_append", start_ns, ns)
+                else:
+                    span.add_child(f"eval:{name}", start_ns, ns, meta={"kind": kind})
+            if outcome.stats is not None:
+                # delta sizes on the span: how many tuples the update moved
+                span.meta["tuples_added"] = outcome.stats.get("tuples_added", 0)
+                span.meta["tuples_removed"] = outcome.stats.get("tuples_removed", 0)
+        return outcome.error is None
 
     def _commit_batch(self, session: Session, batch: list[WriteOutcome]) -> None:
         """Apply one coalesced batch under the exclusive lock, sync the
@@ -401,7 +378,7 @@ class Scheduler:
         With a ``key``, identical concurrent reads collapse onto one
         evaluation (keyed additionally by session and structure version);
         without one, the read always evaluates itself."""
-        deadline = self._admit(session, deadline)
+        deadline = self._admit_many(session, 1, deadline)
         try:
             if key is None:
                 return self._pool.submit(

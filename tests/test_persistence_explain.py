@@ -93,14 +93,6 @@ class TestExplain:
         assert "peak intermediate size" in text
         assert "-> 2 rows" in text
 
-    def test_trace_off_by_default(self, structure):
-        from repro.logic import RelationalEvaluator
-
-        evaluator = RelationalEvaluator(structure)
-        E = Rel("E")
-        evaluator.rows(E("x", "y"), ("x", "y"))
-        assert evaluator.trace is None
-
     def test_explain_real_update_formula(self, structure):
         """The PV' insert formula of Theorem 4.1 produces a bounded plan."""
         program = make_reach_u_program()

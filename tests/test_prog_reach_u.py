@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.dynfo import DynFOEngine, verify_program
+from repro.dynfo import (
+    DynFOEngine,
+    FaultPlan,
+    FaultyBackend,
+    UpdateError,
+    verify_program,
+)
 from repro.dynfo.oracles import connectivity_checker, spanning_forest_checker
 from repro.programs import make_reach_u_program
 from repro.workloads import undirected_script
@@ -84,23 +90,33 @@ def test_request_order_independence_of_answers():
     assert a.query("connected") == b.query("connected")
 
 
-def test_forest_delete_leaves_no_scratch_index_on_the_live_structure():
-    """The delete rule's temporaries (TP, CandE, NewE) live in a borrowed
-    scratch expansion: indexes and version stamps built on them must die
-    with it, while the indexes a delete builds on the auxiliary relations
-    persist, so a second delete builds none."""
-    n = 12
-    engine = DynFOEngine(make_reach_u_program(), n)
+def _chorded_cycle(n, backend="relational"):
+    """An engine holding an n-cycle with chords: every edge has a bypass,
+    so a forest delete runs the delete rule's whole reconnection path."""
+    engine = DynFOEngine(make_reach_u_program(), n, backend=backend)
     for u in range(n):
-        engine.insert("E", u, (u + 1) % n)  # a cycle: every edge has a bypass
+        engine.insert("E", u, (u + 1) % n)
     for u in range(0, n, 3):
         engine.insert("E", u, (u + 5) % n)
+    return engine
+
+
+def _forest_edge(engine):
+    return min((u, v) for (u, v) in engine.structure.relation_view("F") if u < v)
+
+
+def test_forest_delete_leaves_no_scratch_index_on_the_live_structure():
+    """The delete rule's temporaries (TP, CandE, NewE) live only in the
+    request's evaluator: no index or version stamp of theirs reaches the
+    live structure, while the indexes a delete builds on the auxiliary
+    relations persist, so a second delete builds none."""
+    n = 12
+    engine = _chorded_cycle(n)
     structure = engine.structure
     aux = {rel.name for rel in engine.program.aux_vocabulary}
 
     def delete_a_forest_edge():
-        u, v = min((u, v) for (u, v) in structure.relation_view("F") if u < v)
-        engine.delete("E", u, v)
+        engine.delete("E", *_forest_edge(engine))
         assert set(structure._indexes) <= aux
         assert set(structure._versions) <= aux
         return {name: dict(per) for name, per in structure._indexes.items()}
@@ -112,3 +128,41 @@ def test_forest_delete_leaves_no_scratch_index_on_the_live_structure():
         assert indexes.keys() == built.get(name, {}).keys(), name
         for positions, index in indexes.items():
             assert index is built[name][positions], (name, positions)
+
+
+def test_dense_forest_delete_caches_no_temporary_tensor():
+    """The dense backend's cross-request tensor cache holds auxiliary
+    relations only: a temporary's tensor dies with its request."""
+    engine = _chorded_cycle(16, backend="dense")
+    engine.delete("E", *_forest_edge(engine))
+    assert engine.last_update_stats["temporary_tuples"] > 0
+    aux = {rel.name for rel in engine.program.aux_vocabulary}
+    assert set(engine._dense_cache) <= aux
+
+
+@pytest.mark.parametrize("base", ["relational", "dense"])
+def test_out_of_universe_rows_at_any_delete_step_abort_cleanly(base):
+    """A wrapper's rows are validated before use, temporaries included: an
+    out-of-universe row at any execute() of a forest delete (TP, CandE,
+    NewE, then each definition's Δ⁺ and Δ⁻) aborts the request with the
+    structure untouched."""
+    n = 10
+    setup = _chorded_cycle(n)
+    edge = _forest_edge(setup)
+    rule = setup.program.on_delete["E"]
+    compiled = setup.compiled.rule_plans(rule)
+    assert [name for name, _ in compiled.temporaries] == ["TP", "CandE", "NewE"]
+    steps = len(compiled.temporaries) + 2 * len(compiled.definitions)
+    for at in range(1, steps + 1):
+        backend = FaultyBackend(base, FaultPlan("corrupt_oob", at=at))
+        engine = DynFOEngine(setup.program, n, backend=backend)
+        engine.structure = setup.aux_snapshot()
+        with pytest.raises(UpdateError):
+            engine.delete("E", *edge)
+        assert backend.faults_fired == 1 and backend.evaluations <= steps
+        assert engine.structure == setup.structure
+    probe = FaultyBackend(base, FaultPlan("raise", at=10**9))
+    engine = DynFOEngine(setup.program, n, backend=probe)
+    engine.structure = setup.aux_snapshot()
+    engine.delete("E", *edge)
+    assert probe.evaluations == steps
