@@ -13,10 +13,11 @@ Usage (from the repo root)::
     PYTHONPATH=src python benchmarks/emit.py --obs            # E23 payload
     PYTHONPATH=src python benchmarks/emit.py --delta          # E24 payload
 
-Equivalent to ``dynfo bench --bench-json BENCH_plan_cache.json``; the
-measurement kernels live in :mod:`repro.bench.plan_cache` and
-:mod:`repro.bench.service` so every entry point emits identical payloads.
-See those modules for what the arms mean.
+This script is the one entry point for these payloads (``repro bench``
+prints the E1..E18 tables only).  The measurement kernels live in
+:mod:`repro.bench.plan_cache`, :mod:`repro.bench.service`,
+:mod:`repro.bench.obs` and :mod:`repro.bench.delta`; see those modules for
+what the arms mean.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ once per (rule, backend, n) — so compile time amortizes to nothing — and
 the cached plans execute updates faster than the pre-refactor path that
 re-derived an evaluation strategy per request.  This module measures both
 and emits them as JSON so the perf trajectory is tracked across PRs
-(``python benchmarks/emit.py`` or ``dynfo bench --bench-json PATH``).
+(``python benchmarks/emit.py``, the one entry point).
 
 Three arms per program:
 

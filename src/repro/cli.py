@@ -121,22 +121,7 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     names = list(args.experiments)
-    if args.bench_json:
-        from .bench.plan_cache import PRE_REFACTOR_REV, collect, write_json
-
-        rev = args.baseline_rev or PRE_REFACTOR_REV
-        payload = collect(
-            quick=args.quick_json,
-            baseline_rev=None if args.quick_json else rev,
-        )
-        path = write_json(args.bench_json, payload)
-        headline = payload.get("reach_u_headline", {})
-        if "speedup_x" in headline:
-            print(f"reach_u headline speedup: {headline['speedup_x']}x vs pre-refactor")
-        print(f"wrote {path}")
-        if not names:
-            return 0
-    elif not names or [n.lower() for n in names] == ["all"]:
+    if not names or [n.lower() for n in names] == ["all"]:
         names = list(EXPERIMENTS)
     for name in names:
         start = time.perf_counter()
@@ -500,27 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run experiments E1..E18")
     bench.add_argument("experiments", nargs="*", help="experiment ids or 'all'")
     bench.add_argument("--full", action="store_true", help="bigger sweeps")
-    bench.add_argument(
-        "--bench-json",
-        default=None,
-        metavar="PATH",
-        help="write the machine-readable plan-cache benchmark "
-        "(BENCH_plan_cache.json) instead of / before the tables",
-    )
-    bench.add_argument(
-        "--quick-json",
-        action="store_true",
-        help="small universes for --bench-json (CI smoke; skips the "
-        "git-history baseline arm)",
-    )
-    bench.add_argument(
-        "--baseline-rev",
-        default=None,
-        metavar="REV",
-        help="git revision holding the pre-refactor evaluators for the "
-        "--bench-json baseline arm (default: the recorded pre-plan-IR "
-        "commit; ignored with --quick-json)",
-    )
     bench.set_defaults(fn=_cmd_bench)
 
     verify = sub.add_parser("verify", help="oracle-verify a program")

@@ -131,10 +131,6 @@ class DynFOEngine:
         # parameters at execute time, and stages the Δ⁺/Δ⁻ rows as each
         # relation's (added, removed) pair.
         self.compiled = program.compile(name, n)
-        # relation name -> (version, ndarray); patched in place after each
-        # commit so the dense backend stops rebuilding every tensor per
-        # request.
-        self._dense_cache: dict | None = {} if name == "dense" else None
         self.program = program
         self.n = n
         self.structure = program.initial(n)
@@ -196,13 +192,9 @@ class DynFOEngine:
         self, request: Request, batch: BatchUpdate, stats: dict[str, int]
     ) -> None:
         """The commit tail :meth:`apply` and :meth:`apply_effects` share:
-        commit (patching the dense cache), then stats, counter and audit."""
-        patchable = (
-            self._dense_cache_prepare(batch) if self._dense_cache is not None else None
-        )
+        commit (which patches the structure's indexes and tensors), then
+        stats, counter and audit."""
         batch.commit()
-        if patchable:
-            self._dense_cache_patch(batch, patchable)
         self.last_update_stats = stats
         self.requests_applied += 1
         if self.audit_every > 0:
@@ -304,46 +296,13 @@ class DynFOEngine:
 
     def _make_evaluator(self, params: Mapping[str, int]):
         """A backend evaluator over the structure, honouring the engine's
-        materialization budget (``max_rows``) and, on the dense backend, the
-        relation-tensor cache; a wrapper receives the same arguments."""
+        materialization budget (``max_rows``); a wrapper receives the same
+        arguments."""
         kwargs: dict = {}
         if self.max_rows is not None:
             budget = "max_rows" if self.backend_name == "relational" else "max_cells"
             kwargs[budget] = self.max_rows
-        if self._dense_cache is not None:
-            kwargs["array_cache"] = self._dense_cache
         return self._backend_factory(self.structure, params, **kwargs)
-
-    def _dense_cache_prepare(self, batch: BatchUpdate) -> set[str]:
-        """Before commit: drop the batch's stale tensor-cache entries, and
-        return the relations whose cached tensor is current and can be
-        patched in place after commit.  Every change a batch makes is one
-        of its ``deltas``, so every changed relation is seen here."""
-        cache = self._dense_cache
-        patchable: set[str] = set()
-        for name in batch.deltas:
-            entry = cache.get(name)
-            if entry is None:
-                continue
-            if entry[0] == self.structure.relation_version(name):
-                patchable.add(name)
-            else:
-                del cache[name]  # stale entry; rebuild lazily instead
-        return patchable
-
-    def _dense_cache_patch(self, batch: BatchUpdate, patchable: set[str]) -> None:
-        """After commit: write each patchable relation's Δ into its cached
-        tensor in place (one cell write per delta tuple — the dense
-        backend's slice-write path) and restamp it current."""
-        cache = self._dense_cache
-        for name in patchable:
-            added, removed = batch.deltas[name]
-            array = cache[name][1]
-            for tup in removed:
-                array[tup] = False
-            for tup in added:
-                array[tup] = True
-            cache[name] = (self.structure.relation_version(name), array)
 
     def _stage_basic(self, batch: BatchUpdate, basic: Insert | Delete) -> None:
         """Stage one basic input edit, honouring the program's undirected
@@ -423,27 +382,6 @@ class DynFOEngine:
                 self._check_element(value, f"argument {i} of {request}")
             return rule, dict(zip(rule.params, request.args)), None
         raise RequestValidationError(f"unknown request {request!r}")
-
-    def apply_many(self, requests) -> list[dict[str, int]]:
-        """Apply a contiguous batch of requests with group-commit journaling.
-
-        Each request goes through the same transactional :meth:`apply`
-        pipeline (validate, stage, journal, commit), but when the attached
-        journal was opened with ``fsync=False`` the batch pays a *single*
-        fsync at the end instead of one per request — the serving layer's
-        write-coalescing fast path.  The sync runs even when a request in
-        the middle fails, so every request applied before the failure is
-        durable before the error propagates.  Returns the per-request
-        update stats, in order."""
-        stats: list[dict[str, int]] = []
-        try:
-            for request in requests:
-                self.apply(request)
-                stats.append(self.last_update_stats)
-        finally:
-            if self._journal is not None:
-                self._journal.sync()
-        return stats
 
     def run(self, script) -> None:
         """Apply a whole request script."""

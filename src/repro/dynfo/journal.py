@@ -17,10 +17,10 @@ as a hard :class:`~.errors.JournalError`.
 Group commit: with ``fsync=False`` the journal defers durability to an
 explicit :meth:`RequestJournal.sync`, so a caller applying a *batch* of
 requests pays one fsync for the whole batch instead of one per request
-(the serving layer's write coalescing, and
-:meth:`~.engine.DynFOEngine.apply_many`).  The invariant callers must keep
-is the usual one: never acknowledge a request to its submitter until a
-``sync()`` covering its append has returned.  ``fsync_count`` /
+(the serving layer's write coalescing, in the scheduler's
+``_commit_batch``).  The invariant callers must keep is the usual one:
+never acknowledge a request to its submitter until a ``sync()`` covering
+its append has returned.  ``fsync_count`` /
 ``append_count`` expose how well the amortization is working.
 
 Effect records: every append carries the request's committed state

@@ -71,7 +71,9 @@ class DenseEvaluator:
     can swap backends.  Node results are memoized per plan-node object, like
     the relational executor — but *every* node is always evaluated (no
     data-dependent short-circuits), so ``parallel_steps`` depends only on
-    the plan shape, never on the data.
+    the plan shape, never on the data.  A stored relation's tensor is the
+    structure's own (:meth:`Structure.tensor`, kept current by every
+    commit), so no request re-encodes a relation.
     """
 
     def __init__(
@@ -79,18 +81,12 @@ class DenseEvaluator:
         structure: Structure,
         params: Mapping[str, int] | None = None,
         max_cells: int = 200_000_000,
-        array_cache: dict[str, tuple[int, np.ndarray]] | None = None,
     ) -> None:
         self.structure = structure
         self.params = dict(params) if params else {}
         self.max_cells = max_cells
-        # Optional cross-request relation-tensor cache owned by the caller:
-        # name -> (relation_version, array).  Entries are reused only when
-        # the version stamp still matches the structure, so the owner may
-        # keep arrays current in place (the engine's delta path does) or let
-        # stale entries rebuild lazily.  Cached arrays are never mutated by
-        # the evaluator.
-        self.array_cache = array_cache
+        # the tensors of bound temporaries; a structure relation's tensor
+        # is the structure's own (Structure.tensor), never written here
         self._relation_arrays: dict[str, np.ndarray] = {}
         # id-keyed per-node memo; the node is pinned so its id stays valid
         self._results: dict[int, tuple[Plan, np.ndarray]] = {}
@@ -133,38 +129,13 @@ class DenseEvaluator:
         return np.array(eval_term(term, self.structure, {}, self.params))
 
     def _relation_array(self, name: str) -> np.ndarray:
-        cached = self._relation_arrays.get(name)
-        if cached is not None:
-            return cached
-        version = None
-        if self.array_cache is not None:
-            version = self.structure.relation_version(name)
-            entry = self.array_cache.get(name)
-            if entry is not None and entry[0] == version:
-                self._relation_arrays[name] = entry[1]
-                return entry[1]
-        array = self._rows_array(
-            self.structure.vocabulary.arity(name), self.structure.relation_view(name)
-        )
-        self._relation_arrays[name] = array
-        if self.array_cache is not None:
-            self.array_cache[name] = (version, array)
-        return array
-
-    def _rows_array(self, arity: int, rows) -> np.ndarray:
-        """The boolean tensor holding ``rows`` (``arity``-tuples)."""
-        if arity == 0:
-            return np.array(bool(rows))
-        array = np.zeros((self.structure.n,) * arity, dtype=bool)
-        if rows:
-            idx = np.array(sorted(rows), dtype=np.intp)
-            array[tuple(idx[:, i] for i in range(arity))] = True
-        return array
+        bound = self._relation_arrays.get(name)
+        return bound if bound is not None else self.structure.tensor(name)
 
     def bind(self, name: str, arity: int, rows: set[tuple[int, ...]]) -> None:
         """Make ``rows`` the relation ``name`` for every later plan; its
-        tensor lives in this evaluator, never in the ``array_cache``."""
-        self._relation_arrays[name] = self._rows_array(arity, rows)
+        tensor lives in this evaluator, never on the structure."""
+        self._relation_arrays[name] = self.structure.rows_tensor(arity, rows)
 
     # -- plan execution ---------------------------------------------------------
 

@@ -9,15 +9,19 @@ stored here.
 
 Structures are mutable (the whole point of the paper is updating them), but
 every mutator validates its arguments, and :meth:`Structure.copy` /
-:meth:`Structure.freeze` support snapshotting for verification.
+:meth:`Structure.freeze` support snapshotting for verification.  A
+structure also owns the evaluators' derived access paths — hash indexes
+(:meth:`Structure.index_on`) and dense tensors (:meth:`Structure.tensor`)
+— and patches them in the one commit step that changes a relation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .vocabulary import Vocabulary, VocabularyError
 
@@ -26,12 +30,6 @@ __all__ = ["Structure", "StructureError", "FrozenStructure", "BatchUpdate"]
 
 class StructureError(ValueError):
     """Raised on out-of-universe elements or unknown symbols."""
-
-
-# Version stamps are drawn from one process-wide counter so that a stamp is
-# globally unique per relation *state*: equal stamps imply the underlying row
-# set has not been mutated since.
-_VERSION_COUNTER = itertools.count(1)
 
 
 def _key_of(positions: tuple[int, ...]):
@@ -45,7 +43,7 @@ def _key_of(positions: tuple[int, ...]):
 class Structure:
     """A finite structure over a fixed vocabulary and universe size ``n``."""
 
-    __slots__ = ("vocabulary", "n", "_relations", "_constants", "_indexes", "_versions")
+    __slots__ = ("vocabulary", "n", "_relations", "_constants", "_indexes", "_tensors")
 
     def __init__(
         self,
@@ -65,14 +63,14 @@ class Structure:
         self._constants: dict[str, int] = {
             name: 0 for name in vocabulary.constant_names()
         }
-        # Hash indexes: relation name -> column positions -> key -> row set.
-        # Built lazily by index_on(), patched by every change _apply_delta
-        # makes, dropped wholesale by set_relation.
+        # Derived access paths, built lazily, patched by every change
+        # _apply_delta makes, dropped by set_relation.  Hash indexes:
+        # relation name -> column positions -> key -> row set (index_on);
+        # dense tensors: relation name -> boolean ndarray (tensor).
         self._indexes: dict[
             str, dict[tuple[int, ...], dict[tuple[int, ...], set[tuple[int, ...]]]]
         ] = {}
-        # Lazily-stamped per-relation version counters (see relation_version).
-        self._versions: dict[str, int] = {}
+        self._tensors: dict[str, np.ndarray] = {}
         if relations:
             for name, tuples in relations.items():
                 self._apply_delta(name, self._check_rows(name, tuples), set())
@@ -140,12 +138,12 @@ class Structure:
         """Replace the whole interpretation of ``name``."""
         self._relations[name] = self._check_rows(name, tuples)
         self._indexes.pop(name, None)
-        self._versions[name] = next(_VERSION_COUNTER)
+        self._tensors.pop(name, None)
 
     def _apply_delta(self, name: str, added: set, removed: set) -> None:
         """Apply one relation's change (disjoint, validated sets) at set
-        speed: keep its effective part, patch every index on the relation,
-        and bump the version once if the rows changed."""
+        speed: keep its effective part, then patch every index and the
+        tensor on the relation, so the work is proportional to the change."""
         rows = self._relations[name]
         added = added - rows
         removed = removed & rows
@@ -163,22 +161,14 @@ class Structure:
                     del buckets[key]
             for tup in added:
                 buckets.setdefault(key_of(tup), set()).add(tup)
-        self._versions[name] = next(_VERSION_COUNTER)
+        tensor = self._tensors.get(name)
+        if tensor is not None:
+            for tup in removed:
+                tensor[tup] = False
+            for tup in added:
+                tensor[tup] = True
 
-    # -- hash indexes and version stamps ------------------------------------
-
-    def relation_version(self, name: str) -> int:
-        """Monotone stamp bumped once per change that alters ``name``'s rows.
-
-        Equal stamps guarantee the relation's row set is unchanged.  Used
-        by evaluator-side caches (e.g. the dense backend's array cache) to
-        validate reuse.
-        """
-        version = self._versions.get(name)
-        if version is None:
-            self.relation_view(name)  # raises on unknown name
-            version = self._versions[name] = next(_VERSION_COUNTER)
-        return version
+    # -- derived access paths: hash indexes and dense tensors ---------------
 
     def index_on(
         self, name: str, positions: tuple[int, ...]
@@ -201,6 +191,34 @@ class Structure:
                 index.setdefault(key_of(tup), set()).add(tup)
             per_relation[positions] = index
         return index
+
+    def tensor(self, name: str) -> np.ndarray:
+        """``name`` as a boolean tensor with one length-``n`` axis per
+        column (a 0-d array for a 0-ary relation), the dense backend's view.
+
+        Built lazily on first use (one pass over the relation), then patched
+        in place by every change applied to it, one cell write per changed
+        tuple; :meth:`set_relation` drops it.  Callers must treat it as
+        read-only.
+        """
+        tensor = self._tensors.get(name)
+        if tensor is None:
+            rows = self.relation_view(name)
+            tensor = self._tensors[name] = self.rows_tensor(
+                self.vocabulary.arity(name), rows
+            )
+        return tensor
+
+    def rows_tensor(self, arity: int, rows: set[tuple[int, ...]]) -> np.ndarray:
+        """A fresh boolean tensor over this universe holding ``rows``
+        (``arity``-tuples, unvalidated)."""
+        if arity == 0:
+            return np.array(bool(rows))
+        tensor = np.zeros((self.n,) * arity, dtype=bool)
+        if rows:
+            idx = np.array(list(rows), dtype=np.intp)
+            tensor[tuple(idx[:, i] for i in range(arity))] = True
+        return tensor
 
     def cardinality(self, name: str) -> int:
         return len(self.relation_view(name))

@@ -1,5 +1,6 @@
 """Smoke tests: the CLI and every example script run end to end."""
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -8,9 +9,8 @@ import pytest
 
 from repro.cli import main
 
-EXAMPLES = sorted(
-    (pathlib.Path(__file__).resolve().parent.parent / "examples").glob("*.py")
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 class TestCli:
@@ -72,11 +72,16 @@ class TestCli:
         assert main(["explain", "nope"]) == 2
         assert main(["explain", "reach_u", "--rule", "insert:Q"]) == 2
 
-    def test_bench_json_quick(self, capsys, tmp_path):
+    def test_bench_json_quick(self, tmp_path):
         out = tmp_path / "bench.json"
-        assert main(["bench", "--bench-json", str(out), "--quick-json"]) == 0
-        import json
-
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "benchmarks" / "emit.py"), "--quick",
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=240,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
         payload = json.loads(out.read_text())
         assert payload["benchmark"] == "plan_cache"
         assert set(payload["programs"]) == {"reach_u", "dyck", "multiplication"}

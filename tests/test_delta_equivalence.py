@@ -259,7 +259,8 @@ OLDER_RECORDS = [
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_older_records_replay_last_edit_wins(tmp_path, backend):
     """Physical replay of per-tuple records equals applying their edits one
-    by one, and leaves the dense tensor cache consistent for later updates."""
+    by one, and leaves the structure's dense tensors consistent for later
+    updates."""
     path = tmp_path / "older.ndjson"
     with path.open("w") as out:
         for seq, (request, fx) in enumerate(OLDER_RECORDS):
@@ -275,13 +276,12 @@ def test_older_records_replay_last_edit_wins(tmp_path, backend):
     assert recovered.aux_snapshot() == expected.aux_snapshot()
     assert recovered.requests_applied == len(OLDER_RECORDS)
     if backend == "dense":
-        # replay patches the tensors the logical record cached, in place
-        cache = recovered._dense_cache
-        assert "E" in cache and "F" in cache
-        for name, (version, array) in cache.items():
-            if version == recovered.structure.relation_version(name):
-                cells = {tuple(int(v) for v in hit) for hit in np.argwhere(array)}
-                assert cells == recovered.structure.relation_view(name), name
+        # replay patches the tensors the logical record built, in place
+        tensors = recovered.structure._tensors
+        assert "E" in tensors and "F" in tensors
+        for name, array in tensors.items():
+            cells = {tuple(int(v) for v in hit) for hit in np.argwhere(array)}
+            assert cells == recovered.structure.relation_view(name), name
     for engine in (recovered, expected):
         engine.apply(Insert("E", (3, 4)))
     assert recovered.aux_snapshot() == expected.aux_snapshot()

@@ -107,9 +107,9 @@ def _forest_edge(engine):
 
 def test_forest_delete_leaves_no_scratch_index_on_the_live_structure():
     """The delete rule's temporaries (TP, CandE, NewE) live only in the
-    request's evaluator: no index or version stamp of theirs reaches the
-    live structure, while the indexes a delete builds on the auxiliary
-    relations persist, so a second delete builds none."""
+    request's evaluator: no index of theirs reaches the live structure,
+    while the indexes a delete builds on the auxiliary relations persist,
+    so a second delete builds none.  A relational run builds no tensor."""
     n = 12
     engine = _chorded_cycle(n)
     structure = engine.structure
@@ -118,7 +118,7 @@ def test_forest_delete_leaves_no_scratch_index_on_the_live_structure():
     def delete_a_forest_edge():
         engine.delete("E", *_forest_edge(engine))
         assert set(structure._indexes) <= aux
-        assert set(structure._versions) <= aux
+        assert structure._tensors == {}
         return {name: dict(per) for name, per in structure._indexes.items()}
 
     built = delete_a_forest_edge()
@@ -131,13 +131,13 @@ def test_forest_delete_leaves_no_scratch_index_on_the_live_structure():
 
 
 def test_dense_forest_delete_caches_no_temporary_tensor():
-    """The dense backend's cross-request tensor cache holds auxiliary
-    relations only: a temporary's tensor dies with its request."""
+    """The structure's dense tensors, kept across requests, are of
+    auxiliary relations only: a temporary's tensor dies with its request."""
     engine = _chorded_cycle(16, backend="dense")
     engine.delete("E", *_forest_edge(engine))
     assert engine.last_update_stats["temporary_tuples"] > 0
     aux = {rel.name for rel in engine.program.aux_vocabulary}
-    assert set(engine._dense_cache) <= aux
+    assert set(engine.structure._tensors) <= aux
 
 
 @pytest.mark.parametrize("base", ["relational", "dense"])

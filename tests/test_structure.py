@@ -1,5 +1,6 @@
 """Unit tests for finite structures (database instances)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +119,21 @@ class TestWholeStructure:
         assert "s = 2" in text
         assert "universe = {0..2}" in text
 
+    def test_direct_edits_keep_a_built_tensor_current(self, voc):
+        structure = Structure(voc, 4, relations={"E": [(0, 1)], "U": [(2,)]})
+        tensors = {name: structure.tensor(name) for name in ("E", "U")}
+        structure.add("E", (2, 3))
+        structure.discard("E", (0, 1))
+        structure.discard("U", (2,))
+        structure.add("U", (3,))
+        for name, tensor in tensors.items():
+            assert structure.tensor(name) is tensor  # patched in place
+            fresh = Structure(voc, 4, relations={name: structure.relation(name)})
+            assert np.array_equal(tensor, fresh.tensor(name)), name
+        structure.set_relation("E", [(1, 1)])
+        assert "E" not in structure._tensors  # dropped, rebuilt on next use
+        assert np.argwhere(structure.tensor("E")).tolist() == [[1, 1]]
+
     def test_repr_summarizes(self, voc):
         structure = Structure(voc, 3, relations={"E": [(0, 1)]})
         assert "E:1" in repr(structure)
@@ -150,11 +166,12 @@ _initial = st.fixed_dictionaries(
 def test_bulk_commit_equals_sequential_application(initial, edits, constant):
     """A batch commits each relation's Δ as one set operation; the result
     must be what applying the same edits one by one gives, with every index
-    patched and every version stamp moved exactly when its rows moved."""
+    and every tensor built before the batch patched to equal a fresh build."""
     structure = Structure(BULK_VOC, BULK_N, relations=initial)
     for name, positions in BULK_INDEXES:
         structure.index_on(name, positions)
-    versions = {name: structure.relation_version(name) for name in BULK_ARITY}
+    for name in BULK_ARITY:  # the 0-ary Z included
+        structure.tensor(name)
     sequential = structure.copy()
     replayed = structure.copy()
     batch = structure.begin_batch()
@@ -171,9 +188,9 @@ def test_bulk_commit_equals_sequential_application(initial, edits, constant):
     for name, positions in BULK_INDEXES:
         fresh = Structure(BULK_VOC, BULK_N, relations={name: structure.relation(name)})
         assert structure.index_on(name, positions) == fresh.index_on(name, positions)
-    for name, rows in initial.items():
-        moved = structure.relation_version(name) != versions[name]
-        assert moved == (structure.relation_view(name) != rows), name
+    for name in BULK_ARITY:
+        fresh = Structure(BULK_VOC, BULK_N, relations={name: structure.relation(name)})
+        assert np.array_equal(structure._tensors[name], fresh.tensor(name)), name
     replayed.apply_effects(effects)
     assert replayed == structure
 
