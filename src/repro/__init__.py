@@ -46,7 +46,6 @@ from .dynfo import (
     verify_program,
 )
 from .logic import (
-    DenseEvaluator,
     Formula,
     RelationalEvaluator,
     Structure,
@@ -75,6 +74,16 @@ from .programs import (
 from .reductions import FirstOrderReduction, TransferredEngine, measure_expansion
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: the dense evaluator (and numpy) load on first access only
+    if name == "DenseEvaluator":
+        from .logic.dense import DenseEvaluator
+
+        return DenseEvaluator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -9,7 +9,8 @@ Three evaluation backends are available (see DESIGN.md E15):
 
 * ``"relational"`` — database-style join planning (default, fastest in
   typical sparse cases);
-* ``"dense"`` — vectorized boolean tensors, a literal CRAM[1] simulation;
+* ``"dense"`` — vectorized boolean tensors, a literal CRAM[1] simulation
+  (its module, and numpy with it, is imported on the first dense request);
 * ``"naive"`` — brute-force reference semantics (small n only).
 
 Every backend runs the same update pipeline: each rule is compiled once
@@ -42,7 +43,6 @@ from __future__ import annotations
 from time import monotonic_ns as _monotonic_ns
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from ..logic.dense import DenseEvaluator
 from ..logic.evaluation import EvaluationError, NaiveEvaluator
 from ..logic.relational import RelationalEvaluator
 from ..logic.structure import BatchUpdate, Structure, StructureError
@@ -66,9 +66,18 @@ class UnsupportedRequest(RequestValidationError):
     """Raised when a program has no rule for the given request kind."""
 
 
+def _dense_evaluator(*args, **kwargs):
+    """A :class:`~repro.logic.dense.DenseEvaluator`; the dense module and
+    numpy load on the first call, so a process that never runs the dense
+    backend never imports them."""
+    from ..logic.dense import DenseEvaluator
+
+    return DenseEvaluator(*args, **kwargs)
+
+
 BACKENDS: dict[str, Callable[..., object]] = {
     "relational": RelationalEvaluator,
-    "dense": DenseEvaluator,
+    "dense": _dense_evaluator,
     "naive": NaiveEvaluator,
 }
 

@@ -10,11 +10,10 @@ Public surface:
 * three interchangeable evaluators: :func:`holds`/:func:`naive_query`
   (reference semantics), :class:`RelationalEvaluator` (database-style join
   planning; the default), and :class:`DenseEvaluator` (vectorized CRAM[1]
-  simulation);
+  simulation, imported with numpy on first access to the name);
 * :func:`duplicator_wins` — EF games for static inexpressibility demos.
 """
 
-from .dense import DenseEvaluator
 from .dsl import (
     Rel,
     bit,
@@ -169,3 +168,12 @@ __all__ = [
     "distinguishing_rank",
     "partial_isomorphism",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: the dense evaluator (and numpy) load on first access only
+    if name == "DenseEvaluator":
+        from .dense import DenseEvaluator
+
+        return DenseEvaluator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,18 +12,21 @@ every mutator validates its arguments, and :meth:`Structure.copy` /
 :meth:`Structure.freeze` support snapshotting for verification.  A
 structure also owns the evaluators' derived access paths — hash indexes
 (:meth:`Structure.index_on`) and dense tensors (:meth:`Structure.tensor`)
-— and patches them in the one commit step that changes a relation.
+— and patches them in the one commit step that changes a relation.  numpy
+is imported only when a tensor is first built, so a structure that only the
+relational or naive evaluator reads never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .vocabulary import Vocabulary, VocabularyError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["Structure", "StructureError", "FrozenStructure", "BatchUpdate"]
 
@@ -212,6 +215,8 @@ class Structure:
     def rows_tensor(self, arity: int, rows: set[tuple[int, ...]]) -> np.ndarray:
         """A fresh boolean tensor over this universe holding ``rows``
         (``arity``-tuples, unvalidated)."""
+        import numpy as np
+
         if arity == 0:
             return np.array(bool(rows))
         tensor = np.zeros((self.n,) * arity, dtype=bool)

@@ -6,14 +6,14 @@ Prometheus, VictoriaMetrics, or plain ``curl`` can scrape;
 ``start_metrics_server`` hosts it on ``/metrics`` from a daemon thread —
 the implementation behind ``repro serve --metrics-port``.
 
-Only the stdlib ``http.server`` is used, and the handler holds no state:
-every scrape renders a fresh snapshot.
+Only the stdlib ``http.server`` is used, imported when the exporter is
+started, so a server without ``--metrics-port`` never loads it.  The
+handler holds no state: every scrape renders a fresh snapshot.
 """
 
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 __all__ = ["render_prometheus", "start_metrics_server"]
 
@@ -90,29 +90,29 @@ def render_prometheus(service) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path.split("?", 1)[0] != "/metrics":
-            self.send_error(404, "only /metrics lives here")
-            return
-        body = render_prometheus(self.server.service).encode("utf-8")  # type: ignore[attr-defined]
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args) -> None:  # quiet: scrapes are not news
-        pass
-
-
 def start_metrics_server(service, host: str = "127.0.0.1", port: int = 9642):
     """Serve ``/metrics`` for ``service`` on a daemon thread; returns the
     HTTP server (``.server_address[1]`` is the bound port, ``.shutdown()``
     stops it)."""
-    server = ThreadingHTTPServer((host, port), _MetricsHandler)
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class MetricsHandler(BaseHTTPRequestHandler):
+        def do_GET(self) -> None:  # noqa: N802 - http.server API
+            if self.path.split("?", 1)[0] != "/metrics":
+                self.send_error(404, "only /metrics lives here")
+                return
+            body = render_prometheus(service).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args) -> None:  # quiet: scrapes are not news
+            pass
+
+    server = ThreadingHTTPServer((host, port), MetricsHandler)
     server.daemon_threads = True
-    server.service = service  # type: ignore[attr-defined]
     thread = threading.Thread(
         target=server.serve_forever, name="dynfo-metrics", daemon=True
     )

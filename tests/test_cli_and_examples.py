@@ -1,6 +1,7 @@
 """Smoke tests: the CLI and every example script run end to end."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -107,3 +108,66 @@ def test_example_runs(script):
     assert result.returncode == 0, result.stderr[-2000:]
     assert "MISMATCH" not in result.stdout
     assert result.stdout.strip()
+
+
+LEAN_SERVER_SCRIPT = r"""
+import sys
+
+import repro.service.server  # noqa: F401 - the serving stack's import set
+from repro.service.service import DynFOService
+
+OPTIONAL = ("numpy", "repro.logic.dense", "http.server")
+WARM_UP = [{"op": "ins", "rel": "E", "tup": list(edge)}
+           for edge in [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]]
+
+
+def drive(service, session, **open_fields):
+    def call(op, **fields):
+        response = service.handle({"op": op, "session": session, **fields})
+        assert response["ok"], response
+        return response["result"]
+
+    call("open", program="reach_u", n=8, **open_fields)
+    assert call("apply_script", script=WARM_UP)["errors"] == []
+    # (1, 2) joined two trees, so it is a forest edge; (3, 0) replaces it
+    call("apply", request={"op": "del", "rel": "E", "tup": [1, 2]})
+    forest = {tuple(row) for row in call("query", name="forest")}
+    assert (1, 2) not in forest and (0, 3) in forest, forest
+    assert call("ask", name="reach", params={"s": 1, "t": 2}) is True
+    return service.sessions.get(session).engine.structure
+
+
+service = DynFOService()
+relational = drive(service, "rel", backend="relational")
+loaded = [name for name in OPTIONAL if name in sys.modules]
+assert not loaded, f"the relational serving path loaded {loaded}"
+
+from repro.dynfo import FaultPlan, FaultyBackend
+
+assert drive(service, "dense", backend="dense") == relational
+never = FaultyBackend("dense", FaultPlan("raise", at=10**9))
+service.sessions.open("faulty", "reach_u", n=8, backend=never)
+assert drive(service, "faulty") == relational
+assert never.evaluations > 0 and never.faults_fired == 0
+
+import repro
+import repro.logic
+import repro.logic.dense
+
+assert repro.DenseEvaluator is repro.logic.DenseEvaluator
+assert repro.logic.DenseEvaluator is repro.logic.dense.DenseEvaluator
+"""
+
+
+def test_relational_server_loads_no_dense_backend_or_http_server():
+    """A relational server pays only for what it runs: numpy, the dense
+    evaluator and ``http.server`` load on first use, and the dense backend,
+    a wrapper over it and ``repro.DenseEvaluator`` still work."""
+    result = subprocess.run(
+        [sys.executable, "-c", LEAN_SERVER_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
